@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench-steady bench bench-stats bench-paper
+.PHONY: all check fmt vet build test multicpu fuzz race bench-steady bench bench-stats bench-paper
 
 all: check
 
-## check: everything CI runs — format, vet, build, test, short race pass
-check: fmt vet build test race
+## check: everything CI runs — format, vet, build, test, multi-cpu and
+## fuzz passes, short race pass
+check: fmt vet build test multicpu fuzz race
 
 ## fmt: fail if any file is not gofmt-formatted
 fmt:
@@ -22,6 +23,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+## multicpu: the distribution engines, the string plane, the relational
+## ops (their steady-alloc bounds must hold at every P layout) and the
+## baselines at GOMAXPROCS 1, 2 and 4
+multicpu:
+	$(GO) test -cpu 1,2,4 ./internal/dist ./internal/strkey ./internal/rel ./internal/baseline/...
+
+## fuzz: time-boxed fuzzing of the distribution engines against the
+## stable reference
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDistributeEquivalence -fuzztime 30s ./internal/dist
 
 ## race: race-detector pass on the runtime, the semisort core, sampling +
 ## distribution, the collect-reduce + relational terminal ops, the arena

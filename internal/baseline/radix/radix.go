@@ -110,9 +110,14 @@ func rec[T any](cur, other []T, curIsA bool, level int, d Digits[T]) {
 	// Small buckets run their whole subtree sequentially: per-goroutine
 	// overhead would dominate the counting passes otherwise.
 	if n <= serialCutoff {
-		starts := dist.Serial(cur, other, 256, func(i int) int {
-			return int(d.At(cur[i], level))
-		})
+		starts := dist.SerialFilled8Into(nil, cur, other, nil, nil, 256, 256,
+			func(ids []uint8, counts []int32) {
+				for i, x := range cur {
+					b := d.At(x, level)
+					ids[i] = b
+					counts[b]++
+				}
+			}, make([]int, 257))
 		for b := 0; b < 256; b++ {
 			lo, hi := starts[b], starts[b+1]
 			if lo < hi {
@@ -122,9 +127,14 @@ func rec[T any](cur, other []T, curIsA bool, level int, d Digits[T]) {
 		return
 	}
 	l := max(16384, n/2000)
-	starts := dist.Stable(nil, cur, other, 256, l, func(i int) int {
-		return int(d.At(cur[i], level))
-	})
+	starts := dist.StableFilledInto(nil, cur, other, nil, nil, 256, l, 256,
+		func(lo, hi int, ids []uint16, row []int32) {
+			for j := lo; j < hi; j++ {
+				b := d.At(cur[j], level)
+				ids[j-lo] = uint16(b)
+				row[b]++
+			}
+		}, make([]int, 257))
 	parallel.For(256, 1, func(b int) {
 		lo, hi := starts[b], starts[b+1]
 		if lo == hi {

@@ -44,7 +44,14 @@ func Sort[T any](a []T, less func(T, T) bool) {
 	}
 	tmp := make([]T, n)
 	l := max(16384, n/2000)
-	starts := dist.Stable(nil, a, tmp, nB, l, bucketOf)
+	starts := dist.StableFilledInto(nil, a, tmp, nil, nil, nB, l, nB,
+		func(lo, hi int, ids []uint16, row []int32) {
+			for j := lo; j < hi; j++ {
+				b := bucketOf(j)
+				ids[j-lo] = uint16(b)
+				row[b]++
+			}
+		}, make([]int, nB+1))
 	parallel.Copy(a, tmp)
 
 	// Sort the range buckets in parallel; equal buckets are already done

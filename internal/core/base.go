@@ -25,7 +25,7 @@ import (
 // (with its key extractions) runs only when two full 64-bit hashes agree.
 
 // eqSplitBits caps how many cached-hash bits one base-case split consumes
-// (256-way: exactly the byte-wide id-cache specialization of SerialInto).
+// (256-way: exactly the byte-wide id plane of dist.SerialFilled8Into).
 // Small buckets consume fewer bits so the per-split fixed costs (counters,
 // prefix, leaf dispatch) stay proportional to the bucket.
 const eqSplitBits = 8

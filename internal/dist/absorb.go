@@ -3,7 +3,7 @@ package dist
 import "repro/internal/parallel"
 
 // This file is the absorbing form of the id-plane engines: the
-// generalization of the keyed engines' hLive dead suffix that collect-reduce
+// generalization of the Filled engines' hLive dead suffix that collect-reduce
 // and histogram need. Where hLive only lets a bucket range skip the *hash*
 // side-array traffic, an absorbed record skips the scatter entirely: the
 // caller consumes it during its fill pass (collect-reduce combines the
@@ -23,10 +23,7 @@ import "repro/internal/parallel"
 //
 // Everything else matches the Filled engines: the caller owns the fused
 // counting pass, the engine prefixes the counting matrix and replays the
-// cached id plane. The write-buffered scatter does not apply here (it is a
-// many-core opt-in and the absorb consumers are the collect family, whose
-// scattered residue is the cold part of the level); the plain exact-offset
-// scatter is always used.
+// cached id plane with the same exact-offset scatter.
 
 // Absorbed is the sentinel id a fill pass writes for a record it consumed
 // itself: the record is not counted and the scatter skips it. It aliases the
@@ -48,7 +45,7 @@ const Absorbed = ^uint16(0)
 // otherwise). Kept records land stably in dst[0:kept] grouped by bucket
 // (bucket j is dst[starts[j]:starts[j+1]]), each with its hash carried:
 // hdst[p] receives hsrc[j] whenever dst[p] receives src[j] — absorbed
-// records are hash-dead by construction, like the keyed engines' hLive
+// records are hash-dead by construction, like the Filled engines' hLive
 // suffix. src and hsrc are never written.
 func StableAbsorbInto[R any](rt *parallel.Runtime, src []R, hsrc []uint64, nB, l int,
 	fill func(lo, hi int, ids []uint16, row []int32), starts []int,
@@ -138,16 +135,9 @@ func SerialAbsorbInto[R any](sc *parallel.Scratch, src []R, hsrc []uint64, nB in
 	countsBuf.Zero()
 	ids, counts := idsBuf.S, countsBuf.S
 	fill(ids, counts)
-	off := int32(0)
-	for b := 0; b < nB; b++ {
-		starts[b] = int(off)
-		c := counts[b]
-		counts[b] = off
-		off += c
-	}
-	starts[nB] = int(off)
-	dst, hdst := dest(int(off))
-	checkAbsorbDest(int(off), len(dst), len(hdst), hsrc)
+	kept := serialPrefix(counts, starts)
+	dst, hdst := dest(kept)
+	checkAbsorbDest(kept, len(dst), len(hdst), hsrc)
 	ids = ids[:n]
 	if hsrc != nil {
 		hsrc = hsrc[:n:n]

@@ -6,6 +6,44 @@ import (
 	"testing/quick"
 )
 
+// The tests drive the engines the way the sorting baselines do: a fill pass
+// built from a per-record classifier bucketOf.
+
+// fillFrom is the parallel engine's counting pass over bucketOf.
+func fillFrom(bucketOf func(i int) int) func(lo, hi int, ids []uint16, row []int32) {
+	return func(lo, hi int, ids []uint16, row []int32) {
+		for j := lo; j < hi; j++ {
+			b := bucketOf(j)
+			ids[j-lo] = uint16(b)
+			row[b]++
+		}
+	}
+}
+
+// serialFillFrom is the serial engines' counting pass over bucketOf.
+func serialFillFrom[I uint8 | uint16](bucketOf func(i int) int) func(ids []I, counts []int32) {
+	return func(ids []I, counts []int32) {
+		for i := range ids {
+			b := bucketOf(i)
+			ids[i] = I(b)
+			counts[b]++
+		}
+	}
+}
+
+// stable runs the parallel engine without a side array.
+func stable[R any](src, dst []R, nB, l int, bucketOf func(i int) int) []int {
+	return StableFilledInto(nil, src, dst, nil, nil, nB, l, nB, fillFrom(bucketOf), make([]int, nB+1))
+}
+
+// serial runs the serial engine with the narrowest id plane nB allows.
+func serial[R any](src, dst []R, nB int, bucketOf func(i int) int) []int {
+	if nB <= 256 {
+		return SerialFilled8Into(nil, src, dst, nil, nil, nB, nB, serialFillFrom[uint8](bucketOf), make([]int, nB+1))
+	}
+	return SerialFilledInto(nil, src, dst, nil, nil, nB, nB, serialFillFrom[uint16](bucketOf), make([]int, nB+1))
+}
+
 func TestStableGroupsAndOrders(t *testing.T) {
 	type rec struct {
 		b   int
@@ -20,7 +58,7 @@ func TestStableGroupsAndOrders(t *testing.T) {
 					src[i] = rec{b: rng.Intn(nB), seq: i}
 				}
 				dst := make([]rec, n)
-				starts := Stable(nil, src, dst, nB, l, func(i int) int { return src[i].b })
+				starts := stable(src, dst, nB, l, func(i int) int { return src[i].b })
 
 				if len(starts) != nB+1 {
 					t.Fatalf("starts length %d want %d", len(starts), nB+1)
@@ -55,7 +93,7 @@ func TestStableCountsMatch(t *testing.T) {
 			src[i] = int(v % uint8(nB))
 		}
 		dst := make([]int, n)
-		starts := Stable(nil, src, dst, nB, l, func(i int) int { return src[i] })
+		starts := stable(src, dst, nB, l, func(i int) int { return src[i] })
 		want := make([]int, nB)
 		for _, b := range src {
 			want[b]++
@@ -89,13 +127,13 @@ func TestStablePanicsOnBadDst(t *testing.T) {
 			t.Fatal("expected panic on mismatched dst length")
 		}
 	}()
-	Stable(nil, make([]int, 4), make([]int, 3), 2, 2, func(int) int { return 0 })
+	stable(make([]int, 4), make([]int, 3), 2, 2, func(int) int { return 0 })
 }
 
 func TestStableSingleBucket(t *testing.T) {
 	src := []int{5, 4, 3, 2, 1}
 	dst := make([]int, 5)
-	starts := Stable(nil, src, dst, 1, 2, func(int) int { return 0 })
+	starts := stable(src, dst, 1, 2, func(int) int { return 0 })
 	if starts[1] != 5 {
 		t.Fatalf("bucket size %d want 5", starts[1])
 	}
@@ -120,8 +158,8 @@ func TestSerialMatchesStable(t *testing.T) {
 			}
 			d1 := make([]rec, n)
 			d2 := make([]rec, n)
-			s1 := Stable(nil, src, d1, nB, 512, func(i int) int { return src[i].b })
-			s2 := Serial(src, d2, nB, func(i int) int { return src[i].b })
+			s1 := stable(src, d1, nB, 512, func(i int) int { return src[i].b })
+			s2 := serial(src, d2, nB, func(i int) int { return src[i].b })
 			for b := 0; b <= nB; b++ {
 				if s1[b] != s2[b] {
 					t.Fatalf("starts differ at %d: %d vs %d", b, s1[b], s2[b])
@@ -147,7 +185,7 @@ func TestSerialPoolReuseIsClean(t *testing.T) {
 			src[i] = (i * 31) % nB
 		}
 		dst := make([]int, n)
-		starts := Serial(src, dst, nB, func(i int) int { return src[i] })
+		starts := serial(src, dst, nB, func(i int) int { return src[i] })
 		if starts[nB] != n {
 			t.Fatalf("trial %d: total %d want %d", trial, starts[nB], n)
 		}
@@ -167,5 +205,5 @@ func TestStableTooManyBucketsPanics(t *testing.T) {
 			t.Fatal("expected panic for nB > 2^16")
 		}
 	}()
-	Stable(nil, make([]int, 2), make([]int, 2), 1<<16+1, 1, func(int) int { return 0 })
+	stable(make([]int, 2), make([]int, 2), 1<<16+1, 1, func(int) int { return 0 })
 }

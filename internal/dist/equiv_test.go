@@ -6,12 +6,12 @@ import (
 	"testing/quick"
 )
 
-// Equivalence tests for the distribution engines: every variant — the
-// parallel scatter with and without software write buffers, the keyed
-// variants carrying the hash side array, and the serial specialization with
-// both its byte- and 2-byte id caches — must produce output identical to a
-// naive stable reference, across the edge shapes of the engine (single
-// bucket, single subarray, one crowded bucket, maximal and empty buckets).
+// Equivalence tests for the distribution engines: every engine — the
+// parallel scatter and the serial one with both its 2-byte and byte-wide id
+// planes, each with and without the hash side array — must produce output
+// identical to a naive stable reference, across the edge shapes of the
+// engine (single bucket, single subarray, one crowded bucket, maximal and
+// empty buckets).
 
 type erec struct {
 	b   int
@@ -59,73 +59,52 @@ func checkAgainstRef(t *testing.T, label string, src, got []erec, hgot []uint64,
 	}
 }
 
-// runAllVariants distributes src every way the package offers and checks
-// each against the reference.
+// engine is one distribution engine driven over erec records, classified
+// by their own bucket field.
+type engine struct {
+	name string
+	run  func(src, dst []erec, hsrc, hdst []uint64, nB, l, hLive int) []int
+}
+
+// enginesFor lists every engine that accepts nB buckets.
+func enginesFor(nB int) []engine {
+	es := []engine{
+		{"StableFilledInto", func(src, dst []erec, hsrc, hdst []uint64, nB, l, hLive int) []int {
+			return StableFilledInto(nil, src, dst, hsrc, hdst, nB, l, hLive,
+				fillFrom(func(i int) int { return src[i].b }), make([]int, nB+1))
+		}},
+		{"SerialFilledInto", func(src, dst []erec, hsrc, hdst []uint64, nB, _, hLive int) []int {
+			return SerialFilledInto(nil, src, dst, hsrc, hdst, nB, hLive,
+				serialFillFrom[uint16](func(i int) int { return src[i].b }), make([]int, nB+1))
+		}},
+	}
+	if nB <= 256 {
+		es = append(es, engine{"SerialFilled8Into", func(src, dst []erec, hsrc, hdst []uint64, nB, _, hLive int) []int {
+			return SerialFilled8Into(nil, src, dst, hsrc, hdst, nB, hLive,
+				serialFillFrom[uint8](func(i int) int { return src[i].b }), make([]int, nB+1))
+		}})
+	}
+	return es
+}
+
+// runAllVariants distributes src through every engine, with and without
+// the hash side array, and checks each against the reference.
 func runAllVariants(t *testing.T, label string, src []erec, nB, l int) {
 	t.Helper()
 	n := len(src)
-	bucketOf := func(i int) int { return src[i].b }
 	want, wantStarts := refDistribute(src, nB)
 	hsrc := make([]uint64, n)
 	for i, r := range src {
 		hsrc[i] = hashOf(r)
 	}
-	for _, buffered := range []bool{false, true} {
-		prev := SetScatterBuffering(buffered)
+	for _, e := range enginesFor(nB) {
 		dst := make([]erec, n)
-		starts := StableInto(nil, src, dst, nB, l, bucketOf, make([]int, nB+1))
-		checkAgainstRef(t, label+"/StableInto", src, dst, nil, starts, wantStarts, want)
+		starts := e.run(src, dst, nil, nil, nB, l, nB)
+		checkAgainstRef(t, label+"/"+e.name, src, dst, nil, starts, wantStarts, want)
 
-		dst2 := make([]erec, n)
-		hdst := make([]uint64, n)
-		starts2 := StableKeyedInto(nil, src, dst2, hsrc, hdst, nB, l, nB, bucketOf, make([]int, nB+1))
-		checkAgainstRef(t, label+"/StableKeyedInto", src, dst2, hdst, starts2, wantStarts, want)
-		SetScatterBuffering(prev)
-	}
-	dst3 := make([]erec, n)
-	starts3 := SerialInto(nil, src, dst3, nB, bucketOf, make([]int, nB+1))
-	checkAgainstRef(t, label+"/SerialInto", src, dst3, nil, starts3, wantStarts, want)
-
-	dst4 := make([]erec, n)
-	hdst4 := make([]uint64, n)
-	starts4 := SerialKeyedInto(nil, src, dst4, hsrc, hdst4, nB, nB, bucketOf, make([]int, nB+1))
-	checkAgainstRef(t, label+"/SerialKeyedInto", src, dst4, hdst4, starts4, wantStarts, want)
-
-	// The id-plane (Filled) forms must match too: the caller-supplied fill
-	// pass replaces bucketOf but the prefix+scatter machinery is shared.
-	dst5 := make([]erec, n)
-	hdst5 := make([]uint64, n)
-	starts5 := StableFilledInto(nil, src, dst5, hsrc, hdst5, nB, l, nB,
-		func(lo, hi int, ids []uint16, row []int32) {
-			for j := lo; j < hi; j++ {
-				ids[j-lo] = uint16(src[j].b)
-				row[src[j].b]++
-			}
-		}, make([]int, nB+1))
-	checkAgainstRef(t, label+"/StableFilledInto", src, dst5, hdst5, starts5, wantStarts, want)
-
-	dst6 := make([]erec, n)
-	hdst6 := make([]uint64, n)
-	starts6 := SerialFilledInto(nil, src, dst6, hsrc, hdst6, nB, nB,
-		func(ids []uint16, counts []int32) {
-			for i, r := range src {
-				ids[i] = uint16(r.b)
-				counts[r.b]++
-			}
-		}, make([]int, nB+1))
-	checkAgainstRef(t, label+"/SerialFilledInto", src, dst6, hdst6, starts6, wantStarts, want)
-
-	if nB <= 256 {
-		dst7 := make([]erec, n)
-		hdst7 := make([]uint64, n)
-		starts7 := SerialFilled8Into(nil, src, dst7, hsrc, hdst7, nB, nB,
-			func(ids []uint8, counts []int32) {
-				for i, r := range src {
-					ids[i] = uint8(r.b)
-					counts[r.b]++
-				}
-			}, make([]int, nB+1))
-		checkAgainstRef(t, label+"/SerialFilled8Into", src, dst7, hdst7, starts7, wantStarts, want)
+		dst, hdst := make([]erec, n), make([]uint64, n)
+		starts = e.run(src, dst, hsrc, hdst, nB, l, nB)
+		checkAgainstRef(t, label+"/"+e.name+"/keyed", src, dst, hdst, starts, wantStarts, want)
 	}
 }
 
@@ -133,59 +112,38 @@ func runAllVariants(t *testing.T, label string, src []erec, nB, l int) {
 // semisort core relies on: records landing in buckets >= hLive (final heavy
 // buckets) must not move their side-array values — the scatter may not even
 // write those hdst positions. A sentinel pattern in hdst must survive within
-// the dead region, in every engine and with buffering forced on.
+// the dead region, in every engine and for both id-plane widths.
 func TestHLiveDeadSuffixUntouched(t *testing.T) {
-	n, nB, hLive, l := 6000, 600, 400, 128
-	src := makeSrc(n, nB, 17)
-	hsrc := make([]uint64, n)
-	for i, r := range src {
-		hsrc[i] = hashOf(r)
-	}
-	bucketOf := func(i int) int { return src[i].b }
 	const sentinel = 0xdeadbeefcafef00d
-	check := func(label string, starts []int, hdst []uint64) {
-		t.Helper()
-		deadLo := starts[hLive]
-		for p := 0; p < deadLo; p++ {
-			if hdst[p] == sentinel {
-				t.Fatalf("%s: live hash at %d not written", label, p)
-			}
+	for _, shape := range []struct{ n, nB, hLive, l int }{
+		{6000, 600, 400, 128}, // 2-byte id plane
+		{6000, 200, 150, 128}, // byte-wide id plane fits too
+	} {
+		n, nB, hLive := shape.n, shape.nB, shape.hLive
+		src := makeSrc(n, nB, 17)
+		hsrc := make([]uint64, n)
+		for i, r := range src {
+			hsrc[i] = hashOf(r)
 		}
-		for p := deadLo; p < n; p++ {
-			if hdst[p] != sentinel {
-				t.Fatalf("%s: dead-suffix hash at %d was written", label, p)
+		for _, e := range enginesFor(nB) {
+			hdst := make([]uint64, n)
+			for i := range hdst {
+				hdst[i] = sentinel
+			}
+			starts := e.run(src, make([]erec, n), hsrc, hdst, nB, shape.l, hLive)
+			deadLo := starts[hLive]
+			for p := 0; p < deadLo; p++ {
+				if hdst[p] == sentinel {
+					t.Fatalf("%s nB=%d: live hash at %d not written", e.name, nB, p)
+				}
+			}
+			for p := deadLo; p < n; p++ {
+				if hdst[p] != sentinel {
+					t.Fatalf("%s nB=%d: dead-suffix hash at %d was written", e.name, nB, p)
+				}
 			}
 		}
 	}
-	newHdst := func() []uint64 {
-		hdst := make([]uint64, n)
-		for i := range hdst {
-			hdst[i] = sentinel
-		}
-		return hdst
-	}
-	for _, buffered := range []bool{false, true} {
-		prev := SetScatterBuffering(buffered)
-		dst := make([]erec, n)
-		hdst := newHdst()
-		starts := StableKeyedInto(nil, src, dst, hsrc, hdst, nB, l, hLive, bucketOf, make([]int, nB+1))
-		check("StableKeyedInto", starts, hdst)
-		SetScatterBuffering(prev)
-	}
-	dst := make([]erec, n)
-	hdst := newHdst()
-	starts := SerialKeyedInto(nil, src, dst, hsrc, hdst, nB, hLive, bucketOf, make([]int, nB+1))
-	check("SerialKeyedInto", starts, hdst)
-
-	hdst = newHdst()
-	starts = SerialFilledInto(nil, src, make([]erec, n), hsrc, hdst, nB, hLive,
-		func(ids []uint16, counts []int32) {
-			for i, r := range src {
-				ids[i] = uint16(r.b)
-				counts[r.b]++
-			}
-		}, make([]int, nB+1))
-	check("SerialFilledInto", starts, hdst)
 }
 
 func makeSrc(n, nB int, seed int64) []erec {
@@ -230,7 +188,7 @@ func TestDistributeVariantsMatchReferenceEdgeShapes(t *testing.T) {
 		}(), 300, 128},
 		{"byte-id-cache-nB=256", makeSrc(5000, 256, 6), 256, 512},
 		{"word-id-cache-nB=257", makeSrc(5000, 257, 7), 257, 512},
-		{"buffered-eligible-nB=1024", makeSrc(50000, 1024, 8), 1024, 4096},
+		{"many-buckets-nB=1024", makeSrc(50000, 1024, 8), 1024, 4096},
 		{"many-subarrays-l=1", makeSrc(700, 8, 9), 8, 1},
 	}
 	for _, c := range cases {
@@ -247,17 +205,14 @@ func TestDistributeVariantsMatchReferenceRandom(t *testing.T) {
 			src[i] = erec{b: int(v) % nB, seq: i}
 		}
 		want, wantStarts := refDistribute(src, nB)
-		for _, buffered := range []bool{false, true} {
-			prev := SetScatterBuffering(buffered)
+		hsrc := make([]uint64, len(src))
+		for i, r := range src {
+			hsrc[i] = hashOf(r)
+		}
+		for _, e := range enginesFor(nB) {
 			dst := make([]erec, len(src))
-			hsrc := make([]uint64, len(src))
 			hdst := make([]uint64, len(src))
-			for i, r := range src {
-				hsrc[i] = hashOf(r)
-			}
-			starts := StableKeyedInto(nil, src, dst, hsrc, hdst, nB, l, nB,
-				func(i int) int { return src[i].b }, make([]int, nB+1))
-			SetScatterBuffering(prev)
+			starts := e.run(src, dst, hsrc, hdst, nB, l, nB)
 			for i := range wantStarts {
 				if starts[i] != wantStarts[i] {
 					return false

@@ -677,25 +677,23 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 	var nd *node[T]
 	if nProbe <= core.SerialCutoff {
 		// The common leaf: one serial probe into one chunk, closure-free
-		// (a per-leaf closure would dominate steady-state allocations).
-		own := parallel.GetBuf[T](sc, 0)
+		// (a per-leaf closure would dominate steady-state allocations). The
+		// chunk is leased at the probe-side length — a bound for semi and
+		// anti, the usual size of an inner join's light rows — so the arena
+		// hands it a buffer that fits rather than one it must regrow.
+		own := parallel.GetBuf[T](sc, nProbe)
 		var hown *parallel.Buf[uint64]
-		var hout []uint64
 		if j.emit {
-			hown = parallel.GetBuf[uint64](sc, 0)
-			hout = hown.S[:0]
+			hown = parallel.GetBuf[uint64](sc, nProbe)
 		}
 		if probeB {
-			own.S, hout = j.probeWithB(scr, curA, curB, hB, 0, nProbe, own.S[:0], hout)
+			j.probeWithB(scr, curA, curB, hB, 0, nProbe, own, hown)
 		} else {
-			own.S, hout = j.probeWithA(scr, curA, hA, curB, 0, nProbe, own.S[:0], hout)
+			j.probeWithA(scr, curA, hA, curB, 0, nProbe, own, hown)
 		}
 		nd = newNode[T](sc)
 		nd.own = own
-		if j.emit {
-			hown.S = hout
-			nd.hown = hown
-		}
+		nd.hown = hown
 	} else {
 		// A large probe side (the min-side cutoff fired): parallel blocks,
 		// each emitting into its own chunk child, packed in block order —
@@ -708,24 +706,19 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 		nd.kids.Zero()
 		kids := nd.kids.S
 		rt.Blocks(nProbe, nBlocks, func(b, lo, hi int) {
-			own := parallel.GetBuf[T](sc, 0)
+			own := parallel.GetBuf[T](sc, hi-lo)
 			var hown *parallel.Buf[uint64]
-			var hout []uint64
 			if j.emit {
-				hown = parallel.GetBuf[uint64](sc, 0)
-				hout = hown.S[:0]
+				hown = parallel.GetBuf[uint64](sc, hi-lo)
 			}
 			if probeB {
-				own.S, hout = j.probeWithB(scr, curA, curB, hB, lo, hi, own.S[:0], hout)
+				j.probeWithB(scr, curA, curB, hB, lo, hi, own, hown)
 			} else {
-				own.S, hout = j.probeWithA(scr, curA, hA, curB, lo, hi, own.S[:0], hout)
+				j.probeWithA(scr, curA, hA, curB, lo, hi, own, hown)
 			}
 			kid := newNode[T](sc)
 			kid.own = own
-			if j.emit {
-				hown.S = hout
-				kid.hown = hown
-			}
+			kid.hown = hown
 			kids[b] = kid
 		})
 	}
@@ -815,11 +808,17 @@ func (j *joiner[R, S, K, T]) buildA(curA []R, hA []uint64) *joinScratch {
 }
 
 // probeWithA probes a-records [lo, hi) against a table built over b,
-// emitting per the join kind in a-input order. hout, when non-nil, receives
-// each emitted row's key hash (the probe record's cached hash) in lockstep.
-func (j *joiner[R, S, K, T]) probeWithA(scr *joinScratch, curA []R, hA []uint64, curB []S, lo, hi int, out []T, hout []uint64) ([]T, []uint64) {
+// emitting per the join kind in a-input order into the chunk own. hown,
+// when non-nil, receives each emitted row's key hash (the probe record's
+// cached hash) in lockstep. Both chunks grow through the arena (growRow).
+func (j *joiner[R, S, K, T]) probeWithA(scr *joinScratch, curA []R, hA []uint64, curB []S, lo, hi int, own *parallel.Buf[T], hown *parallel.Buf[uint64]) {
 	mask, shift := scr.mask, scr.shift
 	cancelable := j.dA.Cancelable()
+	out := own.S[:0]
+	var hout []uint64
+	if hown != nil {
+		hout = hown.S[:0]
+	}
 	for i := lo; i < hi; i++ {
 		if cancelable && (i-lo)&1023 == 0 {
 			j.dA.CheckCancel() // amortized: leaf probes between driver chunk checks
@@ -843,8 +842,14 @@ func (j *joiner[R, S, K, T]) probeWithA(scr *joinScratch, curA []R, hA []uint64,
 					matched = true
 					if j.kind == joinInner {
 						for bi := hd; bi >= 0; bi = scr.next[bi] {
+							if len(out) == cap(out) {
+								out = growRow(own, out)
+							}
 							out = append(out, j.joinF(curA[i], curB[bi]))
-							if hout != nil {
+							if hown != nil {
+								if len(hout) == cap(hout) {
+									hout = growRow(hown, hout)
+								}
 								hout = append(hout, h)
 							}
 						}
@@ -855,21 +860,35 @@ func (j *joiner[R, S, K, T]) probeWithA(scr *joinScratch, curA []R, hA []uint64,
 			s = (s + 1) & mask
 		}
 		if (j.kind == joinSemi && matched) || (j.kind == joinAnti && !matched) {
+			if len(out) == cap(out) {
+				out = growRow(own, out)
+			}
 			out = append(out, j.fromA(curA[i]))
-			if hout != nil {
+			if hown != nil {
+				if len(hout) == cap(hout) {
+					hout = growRow(hown, hout)
+				}
 				hout = append(hout, h)
 			}
 		}
 	}
-	return out, hout
+	own.S = out
+	if hown != nil {
+		hown.S = hout
+	}
 }
 
 // probeWithB probes b-records [lo, hi) against a table built over a (inner
-// join only), emitting pairs in (b-probe, a-chain) order. hout as in
-// probeWithA.
-func (j *joiner[R, S, K, T]) probeWithB(scr *joinScratch, curA []R, curB []S, hB []uint64, lo, hi int, out []T, hout []uint64) ([]T, []uint64) {
+// join only), emitting pairs in (b-probe, a-chain) order. own and hown as
+// in probeWithA.
+func (j *joiner[R, S, K, T]) probeWithB(scr *joinScratch, curA []R, curB []S, hB []uint64, lo, hi int, own *parallel.Buf[T], hown *parallel.Buf[uint64]) {
 	mask, shift := scr.mask, scr.shift
 	cancelable := j.dA.Cancelable()
+	out := own.S[:0]
+	var hout []uint64
+	if hown != nil {
+		hout = hown.S[:0]
+	}
 	for i := lo; i < hi; i++ {
 		if cancelable && (i-lo)&1023 == 0 {
 			j.dA.CheckCancel()
@@ -890,8 +909,14 @@ func (j *joiner[R, S, K, T]) probeWithB(scr *joinScratch, curA []R, curB []S, hB
 				}
 				if j.eq(j.keyA(curA[hd]), k) {
 					for ai := hd; ai >= 0; ai = scr.next[ai] {
+						if len(out) == cap(out) {
+							out = growRow(own, out)
+						}
 						out = append(out, j.joinF(curA[ai], curB[i]))
-						if hout != nil {
+						if hown != nil {
+							if len(hout) == cap(hout) {
+								hout = growRow(hown, hout)
+							}
 							hout = append(hout, h)
 						}
 					}
@@ -901,5 +926,18 @@ func (j *joiner[R, S, K, T]) probeWithB(scr *joinScratch, curA []R, curB []S, hB
 			s = (s + 1) & mask
 		}
 	}
-	return out, hout
+	own.S = out
+	if hown != nil {
+		hown.S = hout
+	}
+}
+
+// growRow hands a full leaf chunk back to its lease and returns it regrown
+// through the arena (Buf.Grow): an append-driven reallocation would drop
+// the outgrown buffer and allocate afresh on every call whose rows outrun
+// the lease.
+func growRow[T any](b *parallel.Buf[T], s []T) []T {
+	b.S = s
+	b.Grow(1)
+	return b.S
 }

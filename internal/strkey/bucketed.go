@@ -58,7 +58,7 @@ package strkey
 // anyway); parallel runtimes keep the flat plane, where one engine call
 // parallelizes across workers. appendKey and the digest still run exactly
 // once per record, and the digest-gated eq fallthrough still honors the
-// eq-count contract (Config.WithEqCounter observes it).
+// eq-count contract (Config.WithEqCounter and WithStats observe it).
 
 import (
 	"bytes"
@@ -297,6 +297,9 @@ func buildCarved[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg core.
 		gbyte = gb
 	}
 	bytesAll = bytesAll[:gbyte]
+	if cfg.Stats != nil {
+		cfg.Stats.HashCalls += int64(n) // one digest per record, above
+	}
 	cfb.S[0].b = flat // pool the grown staging arenas on release
 	sgb.S[0].b = stage
 	cgb.S[0].r = cstage
@@ -372,11 +375,23 @@ func (g *grouper) release() {
 	*g = grouper{}
 }
 
+// reportEqs hands one call's digest-gated comparisons to both observers of
+// the eq-count contract: the Config.WithEqCounter hook and the WithStats
+// plane. The bucket loops tally into a plain local and report once.
+func reportEqs(cfg core.Config, eqs int64) {
+	if ec := cfg.EqCounter(); ec != nil {
+		ec.Add(eqs)
+	}
+	if cfg.Stats != nil {
+		cfg.Stats.EqCalls += eqs
+	}
+}
+
 // The per-op bucket loops below repeat the probe skeleton on purpose: each
 // keeps its innermost loop free of per-record closure calls, which is the
 // point of the path. All of them share the same contract: one probe chain
 // per record, eq (bytes.Equal) only after full 64-bit digest equality, and
-// the eq-counter observing every such fallthrough.
+// every such fallthrough counted for reportEqs.
 
 // bucketedSortEq groups a in place: chains record each group's members in
 // input order, and the emit walks groups in first-appearance order per
@@ -389,7 +404,7 @@ func bucketedSortEq[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg co
 	g := newGrouper(sc, cfg.Ledger, n, c.maxCnt, true)
 	tb := parallel.LeaseBuf[R](sc, cfg.Ledger, n)
 	tmp := tb.S
-	ec := cfg.EqCounter()
+	var eqs int64 // digest-gated comparisons, reported once per call
 	pos := 0
 	for b := 0; b < c.nbkt; b++ {
 		core.CheckCancel(cfg.Ctx, cfg.Ledger)
@@ -416,9 +431,7 @@ func bucketedSortEq[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg co
 					d := v - 1
 					rp := &c.brecs[g.gfirst[d]]
 					if rp.H == h {
-						if ec != nil {
-							ec.Add(1)
-						}
+						eqs++
 						if bytes.Equal(c.seg(rp.Span), c.seg(c.brecs[j].Span)) {
 							g.next[g.glast[d]] = int32(j)
 							g.glast[d] = int32(j)
@@ -437,6 +450,7 @@ func bucketedSortEq[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg co
 			}
 		}
 	}
+	reportEqs(cfg, eqs)
 	parallel.CopyIn(rt, a, tmp)
 	clear(tmp) // pooled record buffers must not pin caller data
 	tb.Release()
@@ -454,7 +468,7 @@ func bucketedDedup[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg cor
 	g := newGrouper(sc, cfg.Ledger, n, c.maxCnt, false)
 	ib := parallel.LeaseBuf[int32](sc, cfg.Ledger, n)
 	ids := ib.S
-	ec := cfg.EqCounter()
+	var eqs int64 // digest-gated comparisons, reported once per call
 	pos := 0
 	for b := 0; b < c.nbkt; b++ {
 		core.CheckCancel(cfg.Ctx, cfg.Ledger)
@@ -480,9 +494,7 @@ func bucketedDedup[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg cor
 					}
 					rp := &c.brecs[g.gfirst[v-1]]
 					if rp.H == h {
-						if ec != nil {
-							ec.Add(1)
-						}
+						eqs++
 						if bytes.Equal(c.seg(rp.Span), c.seg(c.brecs[j].Span)) {
 							break
 						}
@@ -492,6 +504,7 @@ func bucketedDedup[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg cor
 			}
 		}
 	}
+	reportEqs(cfg, eqs)
 	// Gather survivors in one dedicated pass: interleaving the random
 	// a[Idx] reads inside the probe loop stalls it on their misses; a tight
 	// gather loop lets the prefetcher overlap them instead.
@@ -512,7 +525,7 @@ func bucketedCountDistinct[R any](a []R, appendKey AppendKey[R], hash HashBytes,
 	c := buildCarved(a, appendKey, hash, cfg)
 	rt := parallel.Or(cfg.Runtime)
 	g := newGrouper(rt.Scratch(), cfg.Ledger, n, c.maxCnt, false)
-	ec := cfg.EqCounter()
+	var eqs int64 // digest-gated comparisons, reported once per call
 	var total int64
 	for b := 0; b < c.nbkt; b++ {
 		core.CheckCancel(cfg.Ctx, cfg.Ledger)
@@ -536,9 +549,7 @@ func bucketedCountDistinct[R any](a []R, appendKey AppendKey[R], hash HashBytes,
 					}
 					rp := &c.brecs[g.gfirst[v-1]]
 					if rp.H == h {
-						if ec != nil {
-							ec.Add(1)
-						}
+						eqs++
 						if bytes.Equal(c.seg(rp.Span), c.seg(c.brecs[j].Span)) {
 							break
 						}
@@ -549,6 +560,7 @@ func bucketedCountDistinct[R any](a []R, appendKey AppendKey[R], hash HashBytes,
 		}
 		total += int64(nd)
 	}
+	reportEqs(cfg, eqs)
 	g.release()
 	c.release()
 	return total
@@ -568,7 +580,7 @@ func bucketedSpanCounts[R any](a []R, appendKey AppendKey[R], hash HashBytes, cf
 	gcnt := ctb.S
 	kvb := parallel.LeaseBuf[collect.KV[uint64, int64]](sc, cfg.Ledger, n)
 	kv := kvb.S
-	ec := cfg.EqCounter()
+	var eqs int64 // digest-gated comparisons, reported once per call
 	pos := 0
 	for b := 0; b < c.nbkt; b++ {
 		core.CheckCancel(cfg.Ctx, cfg.Ledger)
@@ -593,9 +605,7 @@ func bucketedSpanCounts[R any](a []R, appendKey AppendKey[R], hash HashBytes, cf
 					}
 					rp := &c.brecs[g.gfirst[v-1]]
 					if rp.H == h {
-						if ec != nil {
-							ec.Add(1)
-						}
+						eqs++
 						if bytes.Equal(c.seg(rp.Span), c.seg(c.brecs[j].Span)) {
 							gcnt[v-1]++
 							break
@@ -610,6 +620,7 @@ func bucketedSpanCounts[R any](a []R, appendKey AppendKey[R], hash HashBytes, cf
 			pos++
 		}
 	}
+	reportEqs(cfg, eqs)
 	ctb.Release()
 	g.release()
 	return c, kvb, pos

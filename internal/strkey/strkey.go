@@ -246,6 +246,12 @@ func Build[R any](p *Plane, rel int, a []R, appendKey AppendKey[R], hash HashByt
 		arenas[b] = s
 	})
 
+	if cfg.Stats != nil {
+		// The engines take these digests precomputed through the fused
+		// plane, so no engine counter sees them: Build is where the call
+		// hashes.
+		cfg.Stats.HashCalls += int64(n)
+	}
 	p.recs[rel], p.rbufs[rel] = recs, rbuf
 	p.hashes[rel], p.hbufs[rel] = hashes, hbuf
 	p.arenas[rel], p.abufs[rel] = arenas, abuf

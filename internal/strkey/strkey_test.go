@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Deep engine properties of the arena key plane that need internal knobs —
@@ -171,6 +172,43 @@ func TestBucketedEqCountContract(t *testing.T) {
 		op.run(core.Config{}.WithEqCounter(&ec))
 		if got := ec.Load(); got != int64(n)-nd {
 			t.Errorf("%s: %d full comparisons, want n-distinct = %d", op.name, got, int64(n)-nd)
+		}
+	}
+}
+
+// TestStatsCountDigestsAndEqs pins what WithStats reports for the string
+// ops on both planes (run it under -cpu 1,2: at GOMAXPROCS=1 the unary ops
+// take the bucketed plane, otherwise the flat one). Each key is digested
+// exactly once, by Build or the bucketed build, and the engines consume the
+// digests precomputed, so HashCalls is the record count; EqCalls agrees
+// with the WithEqCounter hook.
+func TestStatsCountDigestsAndEqs(t *testing.T) {
+	a := corpus(40000, 900, 21) // >= minBucketed
+	b := corpus(2000, 900, 22)
+	for _, op := range []struct {
+		name string
+		recs int
+		run  func(cfg core.Config)
+	}{
+		{"SortEq", len(a), func(cfg core.Config) {
+			s := append([]srec(nil), a...)
+			SortEq(s, srecKey, Bytes, cfg)
+		}},
+		{"Dedup", len(a), func(cfg core.Config) { Dedup(a, srecKey, Bytes, cfg) }},
+		{"Histogram", len(a), func(cfg core.Config) { Histogram(a, srecKey, Bytes, cfg) }},
+		{"Join", len(a) + len(b), func(cfg core.Config) {
+			Join(a, b, srecKey, srecKey, Bytes, func(x, _ srec) int32 { return x.Seq }, cfg)
+		}},
+	} {
+		var st obs.CallStats
+		var ec atomic.Int64
+		op.run(core.Config{Stats: &st}.WithEqCounter(&ec))
+		if st.HashCalls != int64(op.recs) {
+			t.Errorf("%s (bucketed=%v): HashCalls = %d, want %d", op.name, useBuckets(len(a)), st.HashCalls, op.recs)
+		}
+		if st.EqCalls == 0 || st.EqCalls != ec.Load() {
+			t.Errorf("%s (bucketed=%v): EqCalls = %d, eq counter saw %d (want equal, nonzero)",
+				op.name, useBuckets(len(a)), st.EqCalls, ec.Load())
 		}
 	}
 }
