@@ -25,15 +25,19 @@ test:
 	$(GO) test ./...
 
 ## multicpu: the distribution engines, the string plane, the relational
-## ops (their steady-alloc bounds must hold at every P layout) and the
-## baselines at GOMAXPROCS 1, 2 and 4
+## ops (their steady-alloc bounds must hold at every P layout), the
+## baselines, and the streaming front end (its producer/flusher doorbell
+## must hold at every P count) at GOMAXPROCS 1, 2 and 4
 multicpu:
-	$(GO) test -cpu 1,2,4 ./internal/dist ./internal/strkey ./internal/rel ./internal/baseline/...
+	$(GO) test -cpu 1,2,4 ./internal/dist ./internal/strkey ./internal/rel ./internal/baseline/... ./internal/stream ./internal/chaos
+	$(GO) test -cpu 1,2,4 -run Stream .
 
 ## fuzz: time-boxed fuzzing of the distribution engines against the
-## stable reference
+## stable reference, and of the streaming dedup's batch splits against
+## the one-shot answer
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDistributeEquivalence -fuzztime 30s ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzStreamDedup -fuzztime 30s .
 
 ## race: race-detector pass on the runtime, the semisort core, sampling +
 ## distribution, the collect-reduce + relational terminal ops, the arena

@@ -177,7 +177,8 @@
 // The runtime and every stream expose lifetime gauges via a lock-free
 // Metrics() snapshot (jobs and chunk stealing, contained panics,
 // cancellations, admission waits and inflight; queue depth and high water,
-// per-reason flush counts, batch-size and commit-latency histograms).
+// per-reason flush counts, batch-size, commit-latency and queue-wait
+// histograms).
 // Publish mounts it all as one JSON debug page plus expvars:
 //
 //	m := rt.Metrics()                      // e.g. m.Inflight, m.Cancellations

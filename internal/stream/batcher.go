@@ -65,12 +65,14 @@ type Config struct {
 
 	// MaxWait flushes a partial batch this long after its FIRST record was
 	// enqueued into it, bounding the latency a trickle of records can
-	// experience (default 50ms; <= 0 disables the deadline — only size and
-	// Close flush).
+	// experience (zero means the 50ms default; < 0 disables the deadline —
+	// only size and Close flush).
 	MaxWait time.Duration
 
-	// QueueDepth bounds the submit queue (default 4*BatchSize). A full
-	// queue blocks producers (backpressure) unless Shed is set.
+	// QueueDepth bounds the submit queue (default 4*BatchSize): the records
+	// in sealed batches awaiting the flusher. The open batch is not
+	// counted, so it can always fill to BatchSize and seal. A full queue
+	// blocks producers (backpressure) unless Shed is set.
 	QueueDepth int
 
 	// Shed makes Submit fail fast with ErrQueueFull when the queue is full
@@ -123,10 +125,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// item is one queued record with its result channel.
-type item[R, O any] struct {
-	rec R
-	res chan Result[O]
+// batch is the unit of the producer-to-flusher handoff: the records and
+// their result channels in parallel slices, so the processor receives recs
+// as is, plus the enqueue time of the first record (one clock read per
+// batch, which times both MaxWait and the queue wait).
+type batch[R, O any] struct {
+	recs []R
+	res  []chan Result[O]
+	t0   time.Time
 }
 
 // Batcher coalesces records from any number of producer goroutines into
@@ -137,27 +143,34 @@ type item[R, O any] struct {
 // cleanly — the epoch-commit contract of the package doc — and recovers
 // processor panics into typed errors, so one poisoned batch never kills
 // the flusher. The processor must not retain the batch slice past its
-// return: a retry re-presents the same backing array.
+// return: a retry re-presents the same backing array, and the slice is
+// recycled for a later batch once the flush has delivered its results.
 //
-// Exactly one flusher goroutine exists per Batcher; it is the only caller
-// of the processor, so processors may stage state deltas without internal
-// locking against each other. Close stops admission, drains the queue,
-// flushes the final partial batch, settles every outstanding result
-// channel, and joins the flusher — a closed Batcher holds no goroutines.
+// Producers append to one open batch under a mutex; at BatchSize it is
+// sealed into a FIFO and the flusher's doorbell rings, so the flusher
+// wakes once per batch, not once per record. Exactly one flusher goroutine
+// exists per Batcher; it is the only caller of the processor, so
+// processors may stage state deltas without internal locking against each
+// other. Close stops admission, drains the queue, flushes the final
+// partial batch, settles every outstanding result channel, and joins the
+// flusher — a closed Batcher holds no goroutines.
 type Batcher[R, O any] struct {
 	cfg  Config
 	proc func(batch []R) (outs []O, commit func(), err error)
 
-	in   chan item[R, O]
-	done chan struct{}
+	// mu guards the handoff state below. Every admission happens under it,
+	// so Close (which sets closed under it) can never miss a record.
+	mu      sync.Mutex
+	open    *batch[R, O]   // batch being filled; nil until its first record
+	sealed  []*batch[R, O] // full batches awaiting the flusher, oldest first
+	free    []*batch[R, O] // flushed batches kept for reuse
+	depth   int            // records in sealed (the QueueDepth bound)
+	waiters int            // blocked producers waiting for space
+	space   chan struct{}  // closed when the flusher takes a batch; nil if no one waits
+	closed  bool
 
-	// mu serializes Submit's enqueue against Close's close(in): producers
-	// hold it shared for the duration of their send, so the channel is
-	// provably never closed under a sender. Close's exclusive acquisition
-	// waits out blocked producers — who make progress because the flusher
-	// keeps draining until the channel is closed AND empty.
-	mu     sync.RWMutex
-	closed bool
+	bell chan struct{} // the flusher's 1-buffered doorbell (see ring)
+	done chan struct{}
 
 	flushes atomic.Int64 // flush ordinals handed out (= epochs started)
 	faults  atomic.Int64 // flushes that failed after retries
@@ -165,10 +178,6 @@ type Batcher[R, O any] struct {
 
 	errOnce  sync.Once
 	firstErr atomic.Pointer[BatchError]
-
-	// scratch for the flusher: records copied out of the batch items so
-	// the processor sees a plain []R; reused across flushes.
-	recs []R
 }
 
 // New creates a Batcher and starts its flusher goroutine.
@@ -176,10 +185,9 @@ func New[R, O any](cfg Config, proc func(batch []R) ([]O, func(), error)) *Batch
 	b := &Batcher[R, O]{
 		cfg:  cfg.withDefaults(),
 		proc: proc,
+		bell: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
-	b.in = make(chan item[R, O], b.cfg.QueueDepth)
-	b.done = make(chan struct{})
-	b.recs = make([]R, 0, b.cfg.BatchSize)
 	go b.run()
 	return b
 }
@@ -201,42 +209,104 @@ func (b *Batcher[R, O]) SubmitCtx(ctx context.Context, r R) <-chan Result[O] {
 
 func (b *Batcher[R, O]) submit(ctx context.Context, r R) <-chan Result[O] {
 	res := make(chan Result[O], 1)
-	it := item[R, O]{rec: r, res: res}
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		res <- Result[O]{Err: ErrStreamClosed}
-		return res
-	}
-	enqueued := true
+	b.mu.Lock()
+	var err error
 	switch {
+	case b.closed:
+		err = ErrStreamClosed
+	case b.depth < b.cfg.QueueDepth:
 	case b.cfg.Shed:
-		select {
-		case b.in <- it:
-		default:
-			enqueued = false
-			b.m.shed.Add(1)
-			res <- Result[O]{Err: ErrQueueFull}
-		}
-	case ctx != nil:
-		select {
-		case b.in <- it:
-		case <-ctx.Done():
-			enqueued = false
-			res <- Result[O]{Err: ctx.Err()}
-		}
+		b.m.shed.Add(1)
+		err = ErrQueueFull
 	default:
-		b.in <- it
+		err = b.waitForSpace(ctx)
 	}
-	if enqueued {
-		b.m.submitted.Add(1)
-		// The depth read races other producers and the flusher's drain; any
-		// value it sees was a real depth at some instant, which is all a
-		// high-water mark claims.
-		casMax(&b.m.queueHighWater, int64(len(b.in)))
+	if err == nil {
+		b.enqueue(r, res)
 	}
-	b.mu.RUnlock()
+	b.mu.Unlock()
+	if err != nil {
+		res <- Result[O]{Err: err}
+	}
 	return res
+}
+
+// waitForSpace parks a blocking producer until the sealed queue is below
+// QueueDepth, or ctx fires. It is entered and left with mu held. A producer
+// already waiting when Close begins is still admitted, and Close's drain
+// waits for it (the waiter count keeps the flusher alive).
+func (b *Batcher[R, O]) waitForSpace(ctx context.Context) error {
+	b.waiters++
+	defer func() {
+		b.waiters--
+		if b.closed {
+			b.ring() // the draining flusher may be waiting on the last waiter
+		}
+	}()
+	for b.depth >= b.cfg.QueueDepth {
+		if b.space == nil {
+			b.space = make(chan struct{})
+		}
+		space := b.space
+		b.mu.Unlock()
+		var err error
+		if ctx == nil {
+			<-space
+		} else {
+			select {
+			case <-space:
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+		}
+		b.mu.Lock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// enqueue appends one admitted record to the open batch and seals the
+// batch at BatchSize. Called with mu held.
+func (b *Batcher[R, O]) enqueue(r R, res chan Result[O]) {
+	ob := b.open
+	if ob == nil {
+		if n := len(b.free); n > 0 {
+			ob, b.free = b.free[n-1], b.free[:n-1]
+		} else {
+			ob = &batch[R, O]{recs: make([]R, 0, b.cfg.BatchSize), res: make([]chan Result[O], 0, b.cfg.BatchSize)}
+		}
+		ob.t0 = time.Now()
+		b.open = ob
+		if b.cfg.MaxWait > 0 || b.closed {
+			b.ring() // the flusher arms this batch's deadline, or drains it
+		}
+	}
+	ob.recs = append(ob.recs, r)
+	ob.res = append(ob.res, res)
+	b.m.submitted.Add(1)
+	if len(ob.recs) < b.cfg.BatchSize {
+		return
+	}
+	b.open = nil
+	b.sealed = append(b.sealed, ob)
+	b.depth += len(ob.recs)
+	b.m.queueDepth.Store(int64(b.depth))
+	if int64(b.depth) > b.m.queueHighWater.Load() {
+		b.m.queueHighWater.Store(int64(b.depth))
+	}
+	b.ring()
+}
+
+// ring wakes the flusher without blocking: the doorbell holds one pending
+// wake, and the flusher re-reads all handoff state under mu on every wake,
+// so rings that coalesce lose nothing.
+func (b *Batcher[R, O]) ring() {
+	select {
+	case b.bell <- struct{}{}:
+	default:
+	}
 }
 
 // Close stops admission (subsequent Submits deliver ErrStreamClosed),
@@ -247,11 +317,9 @@ func (b *Batcher[R, O]) submit(ctx context.Context, r R) <-chan Result[O] {
 // until the drain completes.
 func (b *Batcher[R, O]) Close() error {
 	b.mu.Lock()
-	if !b.closed {
-		b.closed = true
-		close(b.in)
-	}
+	b.closed = true
 	b.mu.Unlock()
+	b.ring()
 	<-b.done
 	if e := b.firstErr.Load(); e != nil {
 		return e
@@ -267,69 +335,89 @@ func (b *Batcher[R, O]) Faults() int64 { return b.faults.Load() }
 
 // Closed reports whether Close has begun.
 func (b *Batcher[R, O]) Closed() bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return b.closed
 }
 
-// run is the flusher: it owns batch assembly (flush at BatchSize, at
-// MaxWait after a batch's first record, and at drain) and result delivery.
+// run is the flusher: it takes batches in submit order (flush at
+// BatchSize, at MaxWait after a batch's first record, and at drain),
+// flushes them, and recycles their slices. Between batches it sleeps on
+// the doorbell, plus a timer while an open batch has a deadline.
 func (b *Batcher[R, O]) run() {
 	defer close(b.done)
 	var timer *time.Timer
-	var timeC <-chan time.Time
-	batch := make([]item[R, O], 0, b.cfg.BatchSize)
-	flush := func(reason FlushReason) {
-		if timer != nil {
-			timer.Stop()
-			timer, timeC = nil, nil
-		}
-		if len(batch) == 0 {
-			return
-		}
-		b.flush(batch, reason)
-		clear(batch) // drop record/channel refs so the GC isn't held hostage
-		batch = batch[:0]
-	}
 	for {
-		if len(batch) == 0 {
-			// Empty batch: block for the first record; no deadline runs.
-			it, ok := <-b.in
-			if !ok {
-				return // drained and closed
+		bt, reason, deadline, exit := b.next()
+		switch {
+		case bt != nil:
+			b.flush(bt, reason)
+			clear(bt.recs) // drop record/channel refs so the GC isn't held hostage
+			clear(bt.res)
+			bt.recs, bt.res = bt.recs[:0], bt.res[:0]
+			b.mu.Lock()
+			b.free = append(b.free, bt)
+			b.mu.Unlock()
+		case exit:
+			return
+		case deadline.IsZero():
+			<-b.bell
+		default:
+			if timer == nil {
+				timer = time.NewTimer(time.Until(deadline))
+			} else {
+				timer.Reset(time.Until(deadline))
 			}
-			batch = append(batch, it)
-			if len(batch) >= b.cfg.BatchSize {
-				flush(FlushBySize)
-				continue
+			select {
+			case <-b.bell:
+			case <-timer.C:
 			}
-			if b.cfg.MaxWait > 0 {
-				timer = time.NewTimer(b.cfg.MaxWait)
-				timeC = timer.C
-			}
-			continue
-		}
-		select {
-		case it, ok := <-b.in:
-			if !ok {
-				flush(FlushByDrain) // final partial batch
-				continue            // next <-b.in returns !ok immediately
-			}
-			batch = append(batch, it)
-			if len(batch) >= b.cfg.BatchSize {
-				flush(FlushBySize)
-			}
-		case <-timeC:
-			timer, timeC = nil, nil
-			flush(FlushByDeadline)
 		}
 	}
+}
+
+// next picks the flusher's next batch: the oldest sealed one, else the
+// open one if Close is draining or its MaxWait has expired. With nothing
+// to take it returns the open batch's deadline (zero if none) to sleep
+// on, or exit once Close has begun and nothing is left or waiting.
+func (b *Batcher[R, O]) next() (bt *batch[R, O], reason FlushReason, deadline time.Time, exit bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.sealed) > 0 {
+		bt = b.sealed[0]
+		n := copy(b.sealed, b.sealed[1:])
+		b.sealed[n] = nil
+		b.sealed = b.sealed[:n]
+		b.depth -= len(bt.recs)
+		b.m.queueDepth.Store(int64(b.depth))
+		if b.space != nil { // wake every producer blocked on a full queue
+			close(b.space)
+			b.space = nil
+		}
+		return bt, FlushBySize, time.Time{}, false
+	}
+	ob := b.open
+	switch {
+	case ob == nil:
+		return nil, 0, time.Time{}, b.closed && b.waiters == 0
+	case b.closed:
+		b.open = nil
+		return ob, FlushByDrain, time.Time{}, false
+	case b.cfg.MaxWait <= 0:
+		return nil, 0, time.Time{}, false
+	}
+	deadline = ob.t0.Add(b.cfg.MaxWait)
+	if time.Now().Before(deadline) {
+		return nil, 0, deadline, false
+	}
+	b.open = nil
+	return ob, FlushByDeadline, time.Time{}, false
 }
 
 // flush runs one epoch: process (with bounded retries), then commit, then
 // result delivery. A fault after retries fails exactly this batch's items
 // with one shared *BatchError.
-func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
+func (b *Batcher[R, O]) flush(bt *batch[R, O], reason FlushReason) {
 	epoch := b.flushes.Add(1)
 	switch reason {
 	case FlushBySize:
@@ -339,19 +427,16 @@ func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
 	case FlushByDrain:
 		b.m.flushDrain.Add(1)
 	}
-	b.m.flushRecords.Observe(int64(len(batch)))
-	b.recs = b.recs[:0]
-	for _, it := range batch {
-		b.recs = append(b.recs, it.rec)
-	}
+	b.m.flushRecords.Observe(int64(len(bt.recs)))
 	t0 := time.Now()
+	b.m.queueWaitNS.Observe(t0.Sub(bt.t0).Nanoseconds())
 	var outs []O
 	var err error
 	for attempt := 0; ; attempt++ {
-		outs, err = b.attempt(epoch, attempt)
+		outs, err = b.attempt(bt.recs, epoch, attempt)
 		if err == nil || attempt >= b.cfg.Retries || !b.cfg.RetryIf(err) {
 			if err != nil {
-				err = &BatchError{Epoch: epoch, Records: len(batch), Attempts: attempt + 1,
+				err = &BatchError{Epoch: epoch, Records: len(bt.recs), Attempts: attempt + 1,
 					Reason: reason, Cause: err}
 			}
 			break
@@ -359,11 +444,11 @@ func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
 		b.m.retries.Add(1)
 		time.Sleep(b.cfg.Backoff << attempt)
 	}
-	if err == nil && len(outs) != len(batch) {
+	if err == nil && len(outs) != len(bt.recs) {
 		// A processor contract violation is a bug, not a data fault — but
 		// it must still fail the batch rather than mis-deliver results.
-		err = &BatchError{Epoch: epoch, Records: len(batch), Attempts: 1, Reason: reason,
-			Cause: fmt.Errorf("semisort: stream processor returned %d outputs for %d records", len(outs), len(batch))}
+		err = &BatchError{Epoch: epoch, Records: len(bt.recs), Attempts: 1, Reason: reason,
+			Cause: fmt.Errorf("semisort: stream processor returned %d outputs for %d records", len(outs), len(bt.recs))}
 	}
 	if err == nil {
 		// Commit latency: first attempt start through commit return, the
@@ -374,13 +459,13 @@ func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
 		b.faults.Add(1)
 		be := err.(*BatchError)
 		b.errOnce.Do(func() { b.firstErr.Store(be) })
-		for _, it := range batch {
-			it.res <- Result[O]{Err: be}
+		for _, res := range bt.res {
+			res <- Result[O]{Err: be}
 		}
 		return
 	}
-	for i, it := range batch {
-		it.res <- Result[O]{Out: outs[i]}
+	for i, res := range bt.res {
+		res <- Result[O]{Out: outs[i]}
 	}
 }
 
@@ -389,7 +474,7 @@ func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
 // converted to a typed error — *parallel.PanicError, or the bare context
 // error when the panic was the engine's cancellation unwind — so the
 // flusher survives any fault a batch can throw at it.
-func (b *Batcher[R, O]) attempt(epoch int64, attempt int) (outs []O, err error) {
+func (b *Batcher[R, O]) attempt(recs []R, epoch int64, attempt int) (outs []O, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if cause := parallel.CancelCause(r); cause != nil {
@@ -400,9 +485,9 @@ func (b *Batcher[R, O]) attempt(epoch int64, attempt int) (outs []O, err error) 
 		}
 	}()
 	if attempt == 0 && b.cfg.OnFlush != nil {
-		b.cfg.OnFlush(epoch, len(b.recs))
+		b.cfg.OnFlush(epoch, len(recs))
 	}
-	outs, commit, perr := b.proc(b.recs)
+	outs, commit, perr := b.proc(recs)
 	if perr != nil {
 		return nil, perr
 	}

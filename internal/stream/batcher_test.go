@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -366,4 +367,248 @@ func TestProcessorOutputContract(t *testing.T) {
 		}
 	}
 	b.Close()
+}
+
+// TestQueueSmallerThanBatch: QueueDepth counts sealed records only, so an
+// open batch can always fill to BatchSize and seal even when the queue
+// bound is below the batch size; a single producer's records all deliver.
+func TestQueueSmallerThanBatch(t *testing.T) {
+	var commits atomic.Int64
+	b := New(Config{BatchSize: 8, MaxWait: -1, QueueDepth: 2}, echoProc(&commits))
+	chans := make([]<-chan Result[int], 0, 64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 64; i++ {
+			chans = append(chans, b.Submit(i))
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("producer stalled on a queue bound below the batch size")
+	}
+	for i, r := range collect(t, chans) {
+		if r.Err != nil || r.Out != i {
+			t.Fatalf("record %d: got (%d, %v)", i, r.Out, r.Err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if commits.Load() != 8 {
+		t.Fatalf("expected 8 commits, got %d", commits.Load())
+	}
+}
+
+// wedgedBatcher returns a batcher with BatchSize 1 and QueueDepth 1 whose
+// flusher is parked inside the processor on record 1 (until release is
+// closed) and whose queue is full with record 2.
+func wedgedBatcher(t *testing.T) (b *Batcher[int, int], release chan struct{}, first []<-chan Result[int]) {
+	t.Helper()
+	release = make(chan struct{})
+	b = New(Config{BatchSize: 1, MaxWait: -1, QueueDepth: 1},
+		func(batch []int) ([]int, func(), error) {
+			<-release
+			return append([]int(nil), batch...), nil, nil
+		})
+	first = append(first, b.Submit(1))
+	waitFor(t, "flusher to take record 1", func() bool { return b.Flushes() == 1 })
+	first = append(first, b.Submit(2))
+	return b, release, first
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func (b *Batcher[R, O]) waiting() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.waiters
+}
+
+// TestBlockedProducerAdmittedAcrossClose: a producer already blocked on a
+// full queue when Close begins is admitted and drained — it receives its
+// real result, not ErrStreamClosed.
+func TestBlockedProducerAdmittedAcrossClose(t *testing.T) {
+	b, release, first := wedgedBatcher(t)
+	blocked := make(chan (<-chan Result[int]), 1)
+	go func() { blocked <- b.Submit(3) }()
+	waitFor(t, "producer to block on the full queue", func() bool { return b.waiting() == 1 })
+
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	waitFor(t, "Close to begin", b.Closed)
+	close(release)
+
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if r := <-<-blocked; r.Err != nil || r.Out != 3 {
+		t.Fatalf("producer blocked across Close: got (%d, %v), want (3, nil)", r.Out, r.Err)
+	}
+	for i, r := range collect(t, first) {
+		if r.Err != nil || r.Out != i+1 {
+			t.Fatalf("record %d: got (%d, %v)", i+1, r.Out, r.Err)
+		}
+	}
+	if m := b.Metrics(); m.Submitted != 3 || m.Flushes != 3 {
+		t.Fatalf("submitted=%d flushes=%d, want 3/3", m.Submitted, m.Flushes)
+	}
+}
+
+// TestSubmitCtxTimeoutNotCounted: a SubmitCtx that gives up waiting for
+// space never enters the stream — Submitted does not count it — and Close
+// still drains and returns.
+func TestSubmitCtxTimeoutNotCounted(t *testing.T) {
+	b, release, first := wedgedBatcher(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if r := <-b.SubmitCtx(ctx, 3); !errors.Is(r.Err, context.DeadlineExceeded) {
+		t.Fatalf("ctx-bounded submit on full queue: got %v", r.Err)
+	}
+	if m := b.Metrics(); m.Submitted != 2 {
+		t.Fatalf("submitted = %d after a timed-out SubmitCtx, want 2", m.Submitted)
+	}
+	close(release)
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned after a timed-out SubmitCtx")
+	}
+	collect(t, first)
+	if m := b.Metrics(); m.Submitted != 2 || m.Flushes != 2 {
+		t.Fatalf("submitted=%d flushes=%d, want 2/2", m.Submitted, m.Flushes)
+	}
+}
+
+// TestEpochsHoldSubmitOrder: with one producer and size-only flushes,
+// epoch k (1-based) holds exactly records [(k-1)B, kB) in submit order.
+func TestEpochsHoldSubmitOrder(t *testing.T) {
+	const B, batches = 16, 40
+	var epoch int64
+	got := map[int64][]int{}
+	b := New(Config{BatchSize: B, MaxWait: -1, QueueDepth: 2 * B,
+		OnFlush: func(e int64, _ int) { epoch = e }},
+		func(batch []int) ([]int, func(), error) {
+			got[epoch] = append([]int(nil), batch...) // flusher goroutine only
+			return append([]int(nil), batch...), nil, nil
+		})
+	chans := make([]<-chan Result[int], B*batches)
+	for i := range chans {
+		chans[i] = b.Submit(i)
+	}
+	collect(t, chans)
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if len(got) != batches {
+		t.Fatalf("%d epochs, want %d", len(got), batches)
+	}
+	for k := int64(1); k <= batches; k++ {
+		recs := got[k]
+		if len(recs) != B {
+			t.Fatalf("epoch %d holds %d records, want %d", k, len(recs), B)
+		}
+		for j, r := range recs {
+			if want := int(k-1)*B + j; r != want {
+				t.Fatalf("epoch %d position %d: record %d, want %d", k, j, r, want)
+			}
+		}
+	}
+}
+
+// TestDeadlineFlushWithoutFurtherSubmits: a partial batch flushes by
+// MaxWait although no later Submit (and so no seal) ever wakes the
+// flusher, and the queue-wait histogram sees that batch wait at least
+// MaxWait. A first size flush lets the flusher go back to sleep before the
+// partial batch starts, so only the batch's own first record can wake it.
+func TestDeadlineFlushWithoutFurtherSubmits(t *testing.T) {
+	const B, wait = 8, 20 * time.Millisecond
+	var commits atomic.Int64
+	b := New(Config{BatchSize: B, MaxWait: wait}, echoProc(&commits))
+	defer b.Close()
+	chans := make([]<-chan Result[int], B)
+	for i := range chans {
+		chans[i] = b.Submit(i)
+	}
+	collect(t, chans)
+	time.Sleep(10 * time.Millisecond) // let the flusher park on its doorbell
+	chans = chans[:5]
+	for i := range chans {
+		chans[i] = b.Submit(B + i)
+	}
+	for i, r := range collect(t, chans) {
+		if r.Err != nil || r.Out != B+i {
+			t.Fatalf("record %d: got (%d, %v)", B+i, r.Out, r.Err)
+		}
+	}
+	m := b.Metrics()
+	if m.FlushBySize != 1 || m.FlushByDeadline != 1 || m.Flushes != 2 {
+		t.Fatalf("size=%d deadline=%d flushes=%d, want 1/1/2", m.FlushBySize, m.FlushByDeadline, m.Flushes)
+	}
+	if m.QueueWaitNS.Count() != 2 {
+		t.Fatalf("queue-wait histogram has %d observations for 2 flushes", m.QueueWaitNS.Count())
+	}
+	// Bucket i holds [2^(i-1), 2^i); the deadline batch's wait >= MaxWait
+	// lands at or above MaxWait's own bucket.
+	var atLeastMaxWait int64
+	for _, c := range m.QueueWaitNS.Counts[bits.Len64(uint64(wait.Nanoseconds())):] {
+		atLeastMaxWait += c
+	}
+	if atLeastMaxWait != 1 {
+		t.Fatalf("%d queue waits at or above MaxWait %v, want 1 (%s)", atLeastMaxWait, wait, &m.QueueWaitNS)
+	}
+}
+
+// BenchmarkBatcherSubmit measures the producer-to-flusher handoff alone:
+// an echo processor, so no engine call, at 1 and 4 producers. One op is
+// one record, so ns/op and allocs/op are per record. Each producer keeps
+// at most 2 batches of its own results outstanding.
+func BenchmarkBatcherSubmit(b *testing.B) {
+	const batch = 1024
+	for _, producers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("producers=%d", producers), func(b *testing.B) {
+			var commits atomic.Int64
+			bt := New(Config{BatchSize: batch, MaxWait: -1}, echoProc(&commits))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				n := b.N / producers
+				if p < b.N%producers {
+					n++
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ring := make([]<-chan Result[int], 2*batch)
+					for i := 0; i < n; i++ {
+						slot := i % len(ring)
+						if ring[slot] != nil {
+							<-ring[slot]
+						}
+						ring[slot] = bt.Submit(i)
+					}
+				}()
+			}
+			wg.Wait()
+			if err := bt.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

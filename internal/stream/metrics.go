@@ -33,28 +33,20 @@ func (r FlushReason) String() string {
 }
 
 // bMetrics is the batcher's internal counter bank: plain atomics bumped at
-// submit/flush boundaries (never per record inside a flush) plus two
+// submit/flush boundaries (never per record inside a flush) plus three
 // fixed-bucket histograms. Snapshot lock-free by Metrics.
 type bMetrics struct {
 	submitted      atomic.Int64      // records accepted into the queue
 	shed           atomic.Int64      // records refused with ErrQueueFull
-	queueHighWater atomic.Int64      // max queue depth observed at enqueue (CAS-max)
+	queueDepth     atomic.Int64      // records in sealed batches (copy of Batcher.depth)
+	queueHighWater atomic.Int64      // max queue depth observed at a seal
 	retries        atomic.Int64      // extra process attempts across all flushes
 	flushSize      atomic.Int64      // flushes triggered by BatchSize
 	flushDeadline  atomic.Int64      // flushes triggered by MaxWait
 	flushDrain     atomic.Int64      // flushes triggered by Close's drain
 	flushRecords   obs.AtomicLogHist // batch sizes, log2 buckets
 	commitNS       obs.AtomicLogHist // successful flush latency (process+commit), ns
-}
-
-// casMax raises g to v if v is larger (the lock-free high-water update).
-func casMax(g *atomic.Int64, v int64) {
-	for {
-		cur := g.Load()
-		if v <= cur || g.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	queueWaitNS    obs.AtomicLogHist // first record's enqueue to flush start, ns
 }
 
 // Metrics is one lock-free snapshot of a Batcher's counters. Each field is
@@ -66,8 +58,9 @@ type Metrics struct {
 	// a shedding stream refused with ErrQueueFull (never enqueued).
 	Submitted int64
 	Shed      int64
-	// QueueDepth is the instantaneous queue length; QueueHighWater the
-	// deepest the queue has been at any enqueue.
+	// QueueDepth is the instantaneous queue length: records in sealed
+	// batches awaiting the flusher (the open batch still filling is not
+	// counted). QueueHighWater is the deepest the queue has been.
 	QueueDepth     int64
 	QueueHighWater int64
 	// Flushes / Faults mirror the Flushes() and Faults() accessors; Retries
@@ -80,10 +73,12 @@ type Metrics struct {
 	FlushByDeadline int64
 	FlushByDrain    int64
 	// FlushRecords buckets batch sizes; CommitNS buckets the latency of
-	// successful flushes (first attempt start through commit return), both
-	// in log2 buckets.
+	// successful flushes (first attempt start through commit return);
+	// QueueWaitNS buckets, per flush, the time from the batch's first
+	// enqueue to the flush's start. All three use log2 buckets.
 	FlushRecords obs.LogHist
 	CommitNS     obs.LogHist
+	QueueWaitNS  obs.LogHist
 }
 
 // Metrics snapshots the batcher's counters. Lock-free and allocation-light;
@@ -93,7 +88,7 @@ func (b *Batcher[R, O]) Metrics() Metrics {
 	return Metrics{
 		Submitted:       b.m.submitted.Load(),
 		Shed:            b.m.shed.Load(),
-		QueueDepth:      int64(len(b.in)),
+		QueueDepth:      b.m.queueDepth.Load(),
 		QueueHighWater:  b.m.queueHighWater.Load(),
 		Flushes:         b.flushes.Load(),
 		Faults:          b.faults.Load(),
@@ -103,5 +98,6 @@ func (b *Batcher[R, O]) Metrics() Metrics {
 		FlushByDrain:    b.m.flushDrain.Load(),
 		FlushRecords:    b.m.flushRecords.Snapshot(),
 		CommitNS:        b.m.commitNS.Snapshot(),
+		QueueWaitNS:     b.m.queueWaitNS.Snapshot(),
 	}
 }

@@ -45,7 +45,8 @@ type RuntimeMetrics = parallel.RuntimeMetrics
 
 // StreamMetrics is a lock-free snapshot of one stream's batcher: submit and
 // shed counts, queue depth and high water, per-reason flush tallies, batch
-// size and commit latency histograms. Read it with the stream's Metrics().
+// size, commit latency and queue wait histograms. Read it with the stream's
+// Metrics().
 type StreamMetrics = stream.Metrics
 
 // FlushReason says what triggered a stream flush: the batch size, the

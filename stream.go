@@ -51,7 +51,7 @@ func WithBatchSize(n int) StreamOption {
 }
 
 // WithMaxWait bounds batching latency: a partial batch is flushed d after
-// its first record arrived (default 50ms; d < 0 disables the deadline —
+// its first record arrived (default 50ms; d <= 0 disables the deadline —
 // only size and Close flush).
 func WithMaxWait(d time.Duration) StreamOption {
 	return func(c *streamConfig) {
@@ -62,7 +62,9 @@ func WithMaxWait(d time.Duration) StreamOption {
 	}
 }
 
-// WithQueueDepth bounds the submit queue (default 4x the batch size). A
+// WithQueueDepth bounds the submit queue (default 4x the batch size): the
+// records in full batches waiting for the flusher. The batch still filling
+// is not counted, so a depth below the batch size still flushes by size. A
 // full queue blocks producers — backpressure — unless WithShedding is set.
 func WithQueueDepth(n int) StreamOption {
 	return func(c *streamConfig) { c.b.QueueDepth = n }
