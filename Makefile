@@ -25,19 +25,22 @@ test:
 	$(GO) test ./...
 
 ## multicpu: the distribution engines, the string plane, the relational
-## ops (their steady-alloc bounds must hold at every P layout), the
+## ops (their steady-alloc bounds must hold at every P layout), collect and
+## the semisort core (their outputs must not depend on GOMAXPROCS), the
 ## baselines, and the streaming front end (its producer/flusher doorbell
 ## must hold at every P count) at GOMAXPROCS 1, 2 and 4
 multicpu:
-	$(GO) test -cpu 1,2,4 ./internal/dist ./internal/strkey ./internal/rel ./internal/baseline/... ./internal/stream ./internal/chaos
+	$(GO) test -cpu 1,2,4 ./internal/dist ./internal/strkey ./internal/rel ./internal/collect ./internal/core ./internal/baseline/... ./internal/stream ./internal/chaos
 	$(GO) test -cpu 1,2,4 -run Stream .
 
 ## fuzz: time-boxed fuzzing of the distribution engines against the
-## stable reference, and of the streaming dedup's batch splits against
-## the one-shot answer
+## stable reference, of the streaming dedup's batch splits against the
+## one-shot answer, and of the fused join pipeline (its counting terminals
+## run the count-join leaf) against a map reference
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDistributeEquivalence -fuzztime 30s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzStreamDedup -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzPipelineJoin -fuzztime 30s .
 
 ## race: race-detector pass on the runtime, the semisort core, sampling +
 ## distribution, the collect-reduce + relational terminal ops, the arena

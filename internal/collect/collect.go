@@ -113,7 +113,7 @@ func reduce[R, K, E any](a []R, in *core.Plane[K], rd Reducer[R, K, E], cfg core
 		hs = hb.S
 	}
 	root := s.rec(a, hs, hashed, 0, 0, hashutil.NewRNG(d.Seed()))
-	out := s.pack(root)
+	out, _ := core.Pack(d.Runtime(), sc, root, false)
 	if hb != nil {
 		hb.Release()
 	}
@@ -148,6 +148,13 @@ func HistogramPlane[R, K any](a []R, in *core.Plane[K], key func(R) K, hash func
 // serialCutoff mirrors the driver's serial threshold (tests straddle it).
 const serialCutoff = core.SerialCutoff
 
+// foldBlocks is the number of subarray blocks a parallel level folds its
+// heavy partials in: enough blocks to occupy a large machine, few enough
+// that the final serial fold of the block partials stays O(64 * nH). A
+// constant, because the block count shapes the association tree of the
+// user's Combine.
+const foldBlocks = 64
+
 // reducer is the collect-reduce terminal op: the user monoid plus the
 // shared distribution driver. Pooled per call. countOnly marks Histogram's
 // counting monoid (E is int64 then, enforced by the only setter), letting
@@ -158,22 +165,6 @@ type reducer[R, K, E any] struct {
 	countOnly bool
 }
 
-// node is one recursion node's output: the node's own KVs (an internal
-// node's heavy results; a leaf's combine-table contents) followed by its
-// light-bucket children in bucket-id order. Nodes and their chunks are
-// arena-pooled; the final pack walks the tree once to assign offsets and
-// copies every chunk into the result slice in parallel.
-type node[K, E any] struct {
-	own  *parallel.Buf[KV[K, E]]    // nil when the node emitted nothing itself
-	kids *parallel.Buf[*node[K, E]] // nil for leaves; nil entries for empty buckets
-}
-
-// packItem is one chunk placement of the final parallel pack.
-type packItem[K, E any] struct {
-	src []KV[K, E]
-	off int
-}
-
 // rec is one level: plan (sampling + collapse), distribute lights while
 // absorbing heavies into per-subarray accumulators, combine the partials in
 // subarray order, recurse on light buckets. cur/hcur are read-only here
@@ -182,7 +173,7 @@ type packItem[K, E any] struct {
 // releases it once its subtree has reduced. hashed reports whether hcur
 // already holds every record's user hash (false only at the top level,
 // whose classify sweep computes and caches them).
-func (s *reducer[R, K, E]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth int, rng hashutil.RNG) *node[K, E] {
+func (s *reducer[R, K, E]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth int, rng hashutil.RNG) *core.Node[KV[K, E]] {
 	n := len(cur)
 	if n == 0 {
 		return nil
@@ -248,8 +239,7 @@ func (s *reducer[R, K, E]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDe
 	starts := s.d.AbsorbLevel(&lv, cur, hcur, hashed, bitDepth, startsBuf.S, absorb, dest)
 	lv.ReleaseSample()
 
-	nd := parallel.GetObj[node[K, E]](sc)
-	nd.own, nd.kids = nil, nil // pooled nodes come back dirty
+	nd := core.NewNode[KV[K, E]](sc)
 
 	// Combine heavy partials across subarrays in subarray order (this is
 	// where associativity without commutativity suffices), materializing
@@ -285,12 +275,13 @@ func (s *reducer[R, K, E]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDe
 			// Parallel levels fold blocks of contiguous subarrays
 			// concurrently (each block streams its rows in order into a
 			// private partial row), then combine the O(blocks) partials in
-			// block order. The Blocks partition is a pure function of
-			// (nSub, nBlocks), so the association tree — and with it the
-			// result for any associative, even non-commutative, Combine —
-			// is deterministic at every worker count.
+			// block order. The block count is a pure function of nSub —
+			// never of the worker count or GOMAXPROCS — so the association
+			// tree, and with it the result for any associative (even
+			// non-commutative, even floating-point) Combine, is identical
+			// at every worker count and every GOMAXPROCS.
 			rt := s.d.Runtime()
-			nBlocks := min(4*parallel.Workers(), nSub)
+			nBlocks := min(foldBlocks, nSub)
 			partBuf := parallel.GetBuf[E](sc, nBlocks*nH)
 			part := partBuf.S
 			rt.For(len(part), 1<<12, func(i int) { part[i] = s.Identity })
@@ -311,7 +302,7 @@ func (s *reducer[R, K, E]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDe
 			}
 			partBuf.Release()
 		}
-		nd.own = own
+		nd.Own = own
 		hAccBuf.Release()
 	}
 	lv.ReleaseTable(sc)
@@ -320,9 +311,7 @@ func (s *reducer[R, K, E]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDe
 	// children record their subtree output into the node tree. The
 	// survivor buffers stay alive until the whole subtree has reduced
 	// (children read them as their cur), then go back to the arena.
-	nd.kids = parallel.GetBuf[*node[K, E]](sc, lv.NLight)
-	nd.kids.Zero()
-	kids := nd.kids.S
+	kids := nd.NewKids(sc, lv.NLight)
 	light, hlight := lightBuf.S, hlightBuf.S
 	s.d.ForBuckets(lv.Serial, lv.NLight, func(j int) {
 		lo, hi := starts[j], starts[j+1]
@@ -348,7 +337,7 @@ type crScratch struct {
 
 // base runs baseImpl under the stats plane's leaf accounting
 // (branch-on-nil when stats are disabled).
-func (s *reducer[R, K, E]) base(cur []R, hcur []uint64) *node[K, E] {
+func (s *reducer[R, K, E]) base(cur []R, hcur []uint64) *core.Node[KV[K, E]] {
 	if !s.d.StatsArmed() {
 		return s.baseImpl(cur, hcur)
 	}
@@ -362,7 +351,7 @@ func (s *reducer[R, K, E]) base(cur []R, hcur []uint64) *node[K, E] {
 // that combines values in place, consuming the cached hash plane (the user
 // hash is never re-run here). Keys are emitted into a pooled chunk in
 // first-appearance order, values combined in record order.
-func (s *reducer[R, K, E]) baseImpl(cur []R, hcur []uint64) *node[K, E] {
+func (s *reducer[R, K, E]) baseImpl(cur []R, hcur []uint64) *core.Node[KV[K, E]] {
 	n := len(cur)
 	sc := s.d.Scratch()
 	m := sampling.CeilPow2(2 * n)
@@ -434,68 +423,7 @@ func (s *reducer[R, K, E]) baseImpl(cur []R, hcur []uint64) *node[K, E] {
 	scr.order = scr.order[:0]
 	parallel.PutObj(sc, scr)
 	own.S = out
-	nd := parallel.GetObj[node[K, E]](sc)
-	nd.own, nd.kids = own, nil
+	nd := core.NewNode[KV[K, E]](sc)
+	nd.Own = own
 	return nd
-}
-
-// pack flattens the node tree into the result slice: one deterministic
-// pre-order walk assigns chunk offsets (a node's own KVs, then its light
-// buckets in bucket-id order), one parallel pass copies the chunks, and the
-// tree goes back to the arena.
-func (s *reducer[R, K, E]) pack(root *node[K, E]) []KV[K, E] {
-	if root == nil {
-		return nil
-	}
-	sc := s.d.Scratch()
-	itemsBuf := parallel.GetBuf[packItem[K, E]](sc, 0)
-	items := itemsBuf.S[:0]
-	total := 0
-	var walk func(nd *node[K, E])
-	walk = func(nd *node[K, E]) {
-		if nd == nil {
-			return
-		}
-		if nd.own != nil && len(nd.own.S) > 0 {
-			items = append(items, packItem[K, E]{src: nd.own.S, off: total})
-			total += len(nd.own.S)
-		}
-		if nd.kids != nil {
-			for _, kid := range nd.kids.S {
-				walk(kid)
-			}
-		}
-	}
-	walk(root)
-	out := make([]KV[K, E], total)
-	s.d.Runtime().For(len(items), 1, func(i int) {
-		copy(out[items[i].off:], items[i].src)
-	})
-	s.freeTree(root)
-	itemsBuf.S = items[:0]
-	itemsBuf.Release()
-	return out
-}
-
-// freeTree returns a packed subtree to the arena, clearing chunk contents
-// so pooled buffers do not pin caller keys and values between calls.
-func (s *reducer[R, K, E]) freeTree(nd *node[K, E]) {
-	if nd == nil {
-		return
-	}
-	sc := s.d.Scratch()
-	if nd.own != nil {
-		clear(nd.own.S)
-		nd.own.Release()
-		nd.own = nil
-	}
-	if nd.kids != nil {
-		for _, kid := range nd.kids.S {
-			s.freeTree(kid)
-		}
-		nd.kids.Zero()
-		nd.kids.Release()
-		nd.kids = nil
-	}
-	parallel.PutObj(sc, nd)
 }

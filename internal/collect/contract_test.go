@@ -1,6 +1,8 @@
 package collect
 
 import (
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -302,6 +304,41 @@ func TestHistogramDeterministicAcrossWorkerCounts(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("p=%d: output differs at %d: %v vs %v", p, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+func TestReduceFloatBitsIndependentOfGOMAXPROCS(t *testing.T) {
+	// Floating-point addition is not associative, so the result's bits pin
+	// the association tree of the heavy-partial fold: it must not depend on
+	// GOMAXPROCS (nor on the runtime's size, fixed here at 4 workers).
+	keys := makeKeys(1<<20, 4, 1)
+	recs := make([]crec, len(keys))
+	for i, k := range keys {
+		recs[i] = crec{key: k, seq: int32(i)}
+	}
+	rd := Reducer[crec, uint64, float64]{
+		Key:     func(r crec) uint64 { return r.key },
+		Hash:    hashMix,
+		Eq:      eqU64,
+		Map:     func(r crec) float64 { return float64(r.seq)*1.1 + 0.3 },
+		Combine: func(a, b float64) float64 { return a + b },
+	}
+	rt := parallel.NewRuntime(4)
+	defer rt.Close()
+	cfg := core.Config{Runtime: rt, Seed: 1}
+	run := func(procs int) []KV[uint64, float64] {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Reduce(recs, rd, cfg)
+	}
+	want, got := run(1), run(8)
+	if len(got) != len(want) {
+		t.Fatalf("%d keys at GOMAXPROCS 8, %d at GOMAXPROCS 1", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+			t.Fatalf("entry %d: {%d %v} at GOMAXPROCS 8, {%d %v} at GOMAXPROCS 1",
+				i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 		}
 	}
 }

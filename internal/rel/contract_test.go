@@ -61,6 +61,7 @@ func TestJoinHashOncePerRecordBothSides(t *testing.T) {
 		{"Join", func(h func(uint64) uint64) { Join(as, bs, recKey, recKey, h, eqU64, pair, core.Config{}) }},
 		{"SemiJoin", func(h func(uint64) uint64) { SemiJoin(as, bs, recKey, recKey, h, eqU64, core.Config{}) }},
 		{"AntiJoin", func(h func(uint64) uint64) { AntiJoin(as, bs, recKey, recKey, h, eqU64, core.Config{}) }},
+		{"JoinCount", func(h func(uint64) uint64) { JoinCount(as, nil, bs, nil, recKey, recKey, h, eqU64, core.Config{}) }},
 	} {
 		var calls atomic.Int64
 		op.run(countingHash(&calls))
@@ -129,6 +130,14 @@ func TestJoinProbeAtMostOncePerRecordPerLevel(t *testing.T) {
 	if p := probes.Load(); p != int64(na+nb) {
 		t.Errorf("SemiJoin probed %d times for %d records in a one-level call, want exactly %d", p, na+nb, na+nb)
 	}
+	probes.Store(0)
+	counts := JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg)
+	if len(counts) != 1 || counts[0].Key != 3 || counts[0].Value != int64(na)*int64(nb) {
+		t.Fatalf("count of one shared key: got %v, want [{3 %d}]", counts, int64(na)*int64(nb))
+	}
+	if p := probes.Load(); p != int64(na+nb) {
+		t.Errorf("JoinCount probed %d times for %d records in a one-level call, want exactly %d", p, na+nb, na+nb)
+	}
 }
 
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -143,6 +152,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		topk  []int64
 		join  [][2]int32
 		anti  []rec
+		count []int64
 	}
 	var want *outputs
 	for _, p := range []int{1, 3, 7} {
@@ -157,6 +167,9 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		for _, kv := range TopK(as, 20, recKey, hashMix, eqU64, cfg) {
 			got.topk = append(got.topk, int64(kv.Key), kv.Value)
 		}
+		for _, kv := range JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg) {
+			got.count = append(got.count, int64(kv.Key), kv.Value)
+		}
 		if want == nil {
 			want = got
 			continue
@@ -170,6 +183,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		check("topk", slicesEqual(got.topk, want.topk))
 		check("join", slicesEqual(got.join, want.join))
 		check("anti", slicesEqual(got.anti, want.anti))
+		check("count", slicesEqual(got.count, want.count))
 	}
 }
 

@@ -1,8 +1,6 @@
 package rel
 
 import (
-	"time"
-
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/hashutil"
@@ -18,12 +16,13 @@ import (
 // structurally — a zipfian join can emit orders of magnitude more rows than
 // either input holds, and this op never writes one.
 //
-// The recursion is the equi-join's (one shared sample per level over the
-// larger side, co-partitioned buckets, heavy keys by broadcast) with every
-// record-logging stage demoted to counting: heavy records tick the
-// per-(subarray, key) count matrix during the classify sweep and are never
-// logged, resolved, or crossed; leaves run a count-only hash join (build a
-// per-key counter over the smaller side, probe with the other, multiply).
+// It is the count kind (joinCount) of the one equi-join recursion (runJoin):
+// the level plans, co-partitioned buckets and heavy broadcast are the
+// join's, with every record-logging stage demoted to counting. Heavy
+// records of both sides tick the per-(subarray, key) count matrix during
+// the classify sweep and are never logged, resolved, or crossed; leaves run
+// countBase, a count-only hash join (build a per-key counter over the
+// smaller side, probe with the other, multiply).
 //
 // The user hash runs exactly once per record of either relation — or zero
 // times for a side whose input plane carries cached hashes. Output order is
@@ -33,204 +32,7 @@ import (
 func JoinCount[R, S, K any](a []R, inA *core.Plane[K], b []S, inB *core.Plane[K],
 	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool,
 	cfg core.Config) []collect.KV[K, int64] {
-	na, nb := len(a), len(b)
-	if na == 0 || nb == 0 {
-		return nil
-	}
-	dA := core.NewDriver(na, keyA, hash, eq, cfg)
-	dB := core.NewDriver(nb, keyB, hash, eq, cfg)
-	sc := dA.Scratch()
-	j := parallel.GetObj[countJoiner[R, S, K]](sc)
-	j.keyA, j.keyB, j.eq = keyA, keyB, dA.Eq()
-	j.dA, j.dB = dA, dB
-
-	var hbA, hbB borrowedBuf[uint64]
-	hashedA, hashedB := false, false
-	if inA != nil && inA.Hashes != nil {
-		hbA, hashedA = borrowedBuf[uint64]{S: inA.Hashes}, true
-	} else {
-		buf := parallel.LeaseBuf[uint64](sc, dA.Ledger(), na)
-		hbA = borrowedBuf[uint64]{S: buf.S, owned: buf}
-	}
-	if inB != nil && inB.Hashes != nil {
-		hbB, hashedB = borrowedBuf[uint64]{S: inB.Hashes}, true
-	} else {
-		buf := parallel.LeaseBuf[uint64](sc, dB.Ledger(), nb)
-		hbB = borrowedBuf[uint64]{S: buf.S, owned: buf}
-	}
-	root := j.rec(a, hbA.S, b, hbB.S, hashedA, hashedB, 0, 0, hashutil.NewRNG(dA.Seed()))
-	out := pack(dA.Runtime(), sc, root)
-	hbB.Release()
-	hbA.Release()
-
-	*j = countJoiner[R, S, K]{}
-	parallel.PutObj(sc, j)
-	dB.Release()
-	dA.Release()
-	return out
-}
-
-// countJoiner is the count-only equi-join terminal op. Pooled per call.
-type countJoiner[R, S, K any] struct {
-	keyA func(R) K
-	keyB func(S) K
-	eq   func(K, K) bool
-	dA   *core.Driver[R, K]
-	dB   *core.Driver[S, K]
-}
-
-// rec counts one co-partitioned pair of buckets: plan the level over the
-// larger side, classify both sides against the shared heavy table, multiply
-// the heavy keys' per-side totals, recurse on bucket pairs.
-func (j *countJoiner[R, S, K]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
-	hashedA, hashedB bool, depth, bitDepth int, rng hashutil.RNG) *node[collect.KV[K, int64]] {
-	na, nb := len(curA), len(curB)
-	if na == 0 || nb == 0 {
-		return nil
-	}
-	sc := j.dA.Scratch()
-	alpha := j.dA.Alpha()
-	if na+nb <= alpha || min(na, nb) <= alpha>>4 || depth >= j.dA.MaxDepth() {
-		if !hashedA {
-			j.dA.HashAll(curA, hA)
-		}
-		if !hashedB {
-			j.dB.HashAll(curB, hB)
-		}
-		return j.base(curA, hA, curB, hB)
-	}
-
-	// One sampling round for both relations, over the larger side; the other
-	// classifies against the foreign view (same table, collapse, and hash
-	// window) — identical to the materializing join's level plan.
-	var lvA, lvB core.Level[K]
-	var planned *core.Level[K]
-	if na >= nb {
-		lvA = j.dA.PlanLevel(curA, hA, hashedA, true, bitDepth, &rng)
-		lvB = j.dB.ForeignLevel(&lvA, nb)
-		planned = &lvA
-	} else {
-		lvB = j.dB.PlanLevel(curB, hB, hashedB, true, bitDepth, &rng)
-		lvA = j.dA.ForeignLevel(&lvB, na)
-		planned = &lvB
-	}
-	frng := rng
-	nH, nLight := lvA.NH, lvA.NLight
-
-	// Both sides count only: no index logs, no resolve, no broadcast.
-	var aLog, bLog *sideLog
-	var aSink, bSink func(sub, hid, idx int)
-	if nH > 0 {
-		aLog = getSideLog(sc, lvA.NSub, nH, false)
-		bLog = getSideLog(sc, lvB.NSub, nH, false)
-		aSink, bSink = aLog.countSink, bLog.countSink
-	}
-
-	var lightABuf *parallel.Buf[R]
-	var hlABuf *parallel.Buf[uint64]
-	destA := func(kept int) ([]R, []uint64) {
-		lightABuf = parallel.GetBuf[R](sc, kept)
-		hlABuf = parallel.GetBuf[uint64](sc, kept)
-		return lightABuf.S, hlABuf.S
-	}
-	var lightBBuf *parallel.Buf[S]
-	var hlBBuf *parallel.Buf[uint64]
-	destB := func(kept int) ([]S, []uint64) {
-		lightBBuf = parallel.GetBuf[S](sc, kept)
-		hlBBuf = parallel.GetBuf[uint64](sc, kept)
-		return lightBBuf.S, hlBBuf.S
-	}
-	startsABuf := parallel.GetBuf[int](sc, nLight+1)
-	startsBBuf := parallel.GetBuf[int](sc, nLight+1)
-	startsA := j.dA.AbsorbLevel(&lvA, curA, hA, hashedA, bitDepth, startsABuf.S, aSink, destA)
-	startsB := j.dB.AbsorbLevel(&lvB, curB, hB, hashedB, bitDepth, startsBBuf.S, bSink, destB)
-	planned.ReleaseSample()
-
-	// A heavy key's row count is the product of its two side totals; keys
-	// missing from either side emit nothing.
-	nd := newNode[collect.KV[K, int64]](sc)
-	if nH > 0 {
-		totA := aLog.totals(sc)
-		totB := bLog.totals(sc)
-		matched := 0
-		for h := 0; h < nH; h++ {
-			if totA.S[h] > 0 && totB.S[h] > 0 {
-				matched++
-			}
-		}
-		if matched > 0 {
-			own := parallel.GetBuf[collect.KV[K, int64]](sc, matched)
-			o := 0
-			for h := 0; h < nH; h++ {
-				if totA.S[h] > 0 && totB.S[h] > 0 {
-					own.S[o] = collect.KV[K, int64]{
-						Key:   planned.HeavyKey(h),
-						Value: int64(totA.S[h]) * int64(totB.S[h]),
-					}
-					o++
-				}
-			}
-			nd.own = own
-		}
-		totB.Release()
-		totA.Release()
-		bLog.release(sc)
-		aLog.release(sc)
-	}
-	planned.ReleaseTable(sc)
-
-	// Co-partitioned bucket pairs: bucket q of a can only match bucket q of b.
-	nd.kids = parallel.GetBuf[*node[collect.KV[K, int64]]](sc, nLight)
-	nd.kids.Zero()
-	kids := nd.kids.S
-	lightA, hlA := lightABuf.S, hlABuf.S
-	lightB, hlB := lightBBuf.S, hlBBuf.S
-	j.dA.ForBuckets(planned.Serial, nLight, func(q int) {
-		loA, hiA := startsA[q], startsA[q+1]
-		loB, hiB := startsB[q], startsB[q+1]
-		if loA < hiA && loB < hiB {
-			kids[q] = j.rec(lightA[loA:hiA], hlA[loA:hiA], lightB[loB:hiB], hlB[loB:hiB],
-				true, true, depth+1, lvA.NextBit, frng.Fork(uint64(q)))
-		}
-	})
-	hlBBuf.Release()
-	lightBBuf.Release()
-	hlABuf.Release()
-	lightABuf.Release()
-	startsBBuf.Release()
-	startsABuf.Release()
-	return nd
-}
-
-// base runs baseImpl under the stats plane's leaf accounting (both sides
-// of the pair count as leaf records; branch-on-nil when stats are
-// disabled).
-func (j *countJoiner[R, S, K]) base(curA []R, hA []uint64, curB []S, hB []uint64) *node[collect.KV[K, int64]] {
-	if !j.dA.StatsArmed() {
-		return j.baseImpl(curA, hA, curB, hB)
-	}
-	t0 := time.Now()
-	nd := j.baseImpl(curA, hA, curB, hB)
-	j.dA.StatLeaf(len(curA)+len(curB), time.Since(t0).Nanoseconds())
-	return nd
-}
-
-// baseImpl counts one cache-resident bucket pair: build a per-key counter
-// over the smaller side (a pure function of the two lengths, so the
-// emission order is deterministic), probe with the other, multiply. Probing
-// is a read-mostly counting sweep, so it stays serial even when the
-// min-side cutoff fired with a large probe side.
-func (j *countJoiner[R, S, K]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint64) *node[collect.KV[K, int64]] {
-	sc := j.dA.Scratch()
-	var own *parallel.Buf[collect.KV[K, int64]]
-	if len(curA) <= len(curB) {
-		own = countBase(sc, curA, hA, curB, hB, j.keyA, j.keyB, j.eq)
-	} else {
-		own = countBase(sc, curB, hB, curA, hA, j.keyB, j.keyA, j.eq)
-	}
-	nd := newNode[collect.KV[K, int64]](sc)
-	nd.own = own
-	return nd
+	return runJoin[R, S, K, collect.KV[K, int64]](a, b, keyA, keyB, hash, eq, nil, nil, joinCount, cfg, inA, inB, nil)
 }
 
 // cntScratch is the pooled count-join base table: open-addressing slots

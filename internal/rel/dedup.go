@@ -53,13 +53,7 @@ func DedupPlane[R, K any](a []R, in *core.Plane[K], emit bool,
 	// and an input plane IS that mirror, so the arena lease is skipped too.
 	hcur, hashed := planeIn(in, d, sc, n)
 	root := s.rec(a, hcur.S, hashed, 0, 0, hashutil.NewRNG(d.Seed()))
-	var out []R
-	var hout *parallel.Buf[uint64]
-	if emit {
-		out, hout = packPlane(d.Runtime(), sc, root)
-	} else {
-		out = pack(d.Runtime(), sc, root)
-	}
+	out, hout := core.Pack(d.Runtime(), sc, root, emit)
 	hcur.Release()
 
 	*s = deduper[R, K]{} // drop the user closures before pooling
@@ -116,7 +110,7 @@ type deduper[R, K any] struct {
 // keeping only each heavy key's first occurrence, recurse on light buckets.
 // cur/hcur are read-only here; hashed reports whether hcur already holds
 // every record's user hash (false only at the top level).
-func (s *deduper[R, K]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth int, rng hashutil.RNG) *node[R] {
+func (s *deduper[R, K]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth int, rng hashutil.RNG) *core.Node[R] {
 	n := len(cur)
 	if n == 0 {
 		return nil
@@ -158,7 +152,7 @@ func (s *deduper[R, K]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth
 	}
 	lv.ReleaseSample()
 
-	nd := newNode[R](sc)
+	nd := core.NewNode[R](sc)
 	// Each heavy key contributes exactly its first occurrence, read in place
 	// from cur (heavy records were never moved). Stable distribution keeps
 	// cur in relative input order at every level, so the subarray-order
@@ -168,7 +162,7 @@ func (s *deduper[R, K]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth
 		for h := 0; h < nH; h++ {
 			own.S[h] = cur[fk.First(h)]
 		}
-		nd.own = own
+		nd.Own = own
 		if s.emit {
 			// The heavy table is the only place a top-level heavy hash
 			// exists (classify never writes heavy hashes into the plane).
@@ -176,7 +170,7 @@ func (s *deduper[R, K]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth
 			for h := 0; h < nH; h++ {
 				hown.S[h] = lv.HeavyHash(h)
 			}
-			nd.hown = hown
+			nd.Hown = hown
 		}
 		fk.Release()
 	}
@@ -184,9 +178,7 @@ func (s *deduper[R, K]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth
 
 	// Local Refining on the surviving light buckets. The survivor buffers
 	// stay alive until the whole subtree is deduplicated, then pool back.
-	nd.kids = parallel.GetBuf[*node[R]](sc, lv.NLight)
-	nd.kids.Zero()
-	kids := nd.kids.S
+	kids := nd.NewKids(sc, lv.NLight)
 	light, hlight := lightBuf.S, hlightBuf.S
 	s.d.ForBuckets(lv.Serial, lv.NLight, func(j int) {
 		lo, hi := starts[j], starts[j+1]
@@ -231,7 +223,7 @@ func (t *tblScratch) reset() {
 
 // base runs baseImpl under the stats plane's leaf accounting
 // (branch-on-nil when stats are disabled).
-func (s *deduper[R, K]) base(cur []R, hcur []uint64) *node[R] {
+func (s *deduper[R, K]) base(cur []R, hcur []uint64) *core.Node[R] {
 	if !s.d.StatsArmed() {
 		return s.baseImpl(cur, hcur)
 	}
@@ -244,7 +236,7 @@ func (s *deduper[R, K]) base(cur []R, hcur []uint64) *node[R] {
 // baseImpl deduplicates one cache-resident bucket sequentially with a
 // keep-first hash table consuming the cached hash plane; kept records are
 // emitted into a pooled chunk in first-appearance (= input) order.
-func (s *deduper[R, K]) baseImpl(cur []R, hcur []uint64) *node[R] {
+func (s *deduper[R, K]) baseImpl(cur []R, hcur []uint64) *core.Node[R] {
 	n := len(cur)
 	sc := s.d.Scratch()
 	scr := parallel.GetObj[tblScratch](sc)
@@ -286,11 +278,11 @@ func (s *deduper[R, K]) baseImpl(cur []R, hcur []uint64) *node[R] {
 	scr.reset()
 	parallel.PutObj(sc, scr)
 	own.S = out
-	nd := newNode[R](sc)
-	nd.own = own
+	nd := core.NewNode[R](sc)
+	nd.Own = own
 	if s.emit {
 		hown.S = hout
-		nd.hown = hown
+		nd.Hown = hown
 	}
 	return nd
 }

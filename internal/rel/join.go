@@ -3,6 +3,7 @@ package rel
 import (
 	"time"
 
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/hashutil"
 	"repro/internal/parallel"
@@ -16,6 +17,7 @@ const (
 	joinInner joinKind = iota // every matching (a, b) pair, via the join function
 	joinSemi                  // a-records with at least one match in b
 	joinAnti                  // a-records with no match in b
+	joinCount                 // per-key count_a * count_b (JoinCount; T is collect.KV[K, int64])
 )
 
 // Join computes the hash-partitioned inner equi-join of a and b: one
@@ -82,8 +84,9 @@ func identity[R any](r R) R { return r }
 
 // runJoin is the shared body. fromA converts an a-record into an output row
 // for the kinds that emit a-records (semi, anti: T is R and fromA is the
-// identity); joinF is the inner join's row constructor. inA/inB/plOut are
-// the pipeline-fusion hooks (see JoinPlane); nil for the plain entry points.
+// identity); joinF is the inner join's row constructor; the count kind
+// needs neither. inA/inB/plOut are the pipeline-fusion hooks (see
+// JoinPlane); nil for the plain entry points.
 func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool,
 	joinF func(R, S) T, fromA func(R) T, kind joinKind, cfg core.Config,
@@ -129,10 +132,8 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 		hbB = borrowedBuf[uint64]{S: buf.S, owned: buf}
 	}
 	root := j.rec(a, hbA.S, b, hbB.S, hashedA, hashedB, 0, 0, hashutil.NewRNG(dA.Seed()))
-	var out []T
+	out, hout := core.Pack(dA.Runtime(), sc, root, j.emit)
 	if j.emit {
-		var hout *parallel.Buf[uint64]
-		out, hout = packPlane(dA.Runtime(), sc, root)
 		*plOut = core.Plane[K]{
 			HeavyKeys:   j.carryKeys,
 			HeavyHashes: j.carryHashes,
@@ -140,8 +141,6 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 		if hout != nil {
 			plOut.Hashes, plOut.HBuf = hout.S, hout
 		}
-	} else {
-		out = pack(dA.Runtime(), sc, root)
 	}
 	hbB.Release()
 	hbA.Release()
@@ -177,7 +176,7 @@ type joiner[R, S, K, T any] struct {
 // larger side, classify both sides against the shared heavy table and hash
 // window, join the heavy keys by broadcast, recurse on bucket pairs.
 func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
-	hashedA, hashedB bool, depth, bitDepth int, rng hashutil.RNG) *node[T] {
+	hashedA, hashedB bool, depth, bitDepth int, rng hashutil.RNG) *core.Node[T] {
 	na, nb := len(curA), len(curB)
 	if na == 0 || (nb == 0 && j.kind != joinAnti) {
 		return nil
@@ -224,19 +223,21 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 	frng := rng
 	nH, nLight := lvA.NH, lvA.NLight
 
-	// Heavy absorption state: the a side always logs record indices (all
-	// three kinds emit from a's heavy records); the b side logs only for the
-	// inner join — semi and anti need just a per-key existence count.
+	// Heavy absorption state: the a side logs record indices for the kinds
+	// that emit from a's heavy records (inner, semi, anti); the b side logs
+	// only for the inner join — semi and anti need just a per-key existence
+	// count, and the count kind needs only per-key totals on both sides.
 	var aLog, bLog *sideLog
 	var aSink, bSink func(sub, hid, idx int)
 	if nH > 0 {
-		aLog = getSideLog(sc, lvA.NSub, nH, true)
-		aSink = aLog.sink
+		aLog = getSideLog(sc, lvA.NSub, nH, j.kind != joinCount)
 		bLog = getSideLog(sc, lvB.NSub, nH, j.kind == joinInner)
+		aSink, bSink = aLog.countSink, bLog.countSink
+		if j.kind != joinCount {
+			aSink = aLog.sink
+		}
 		if j.kind == joinInner {
 			bSink = bLog.sink
-		} else {
-			bSink = bLog.countSink
 		}
 	}
 
@@ -264,9 +265,9 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 	planned.ReleaseSample()
 
 	// Broadcast join of the heavy keys, reading both sides in place.
-	nd := newNode[T](sc)
+	nd := core.NewNode[T](sc)
 	if nH > 0 {
-		nd.own, nd.hown = j.emitHeavy(planned, aLog, bLog, curA, curB)
+		nd.Own, nd.Hown = j.emitHeavy(planned, aLog, bLog, curA, curB)
 		bLog.release(sc)
 		aLog.release(sc)
 	}
@@ -275,9 +276,7 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 	// Local Refining on co-partitioned bucket pairs. Window bits were
 	// consumed identically on both sides, so bucket q of a can only match
 	// bucket q of b.
-	nd.kids = parallel.GetBuf[*node[T]](sc, nLight)
-	nd.kids.Zero()
-	kids := nd.kids.S
+	kids := nd.NewKids(sc, nLight)
 	lightA, hlA := lightABuf.S, hlABuf.S
 	lightB, hlB := lightBBuf.S, hlBBuf.S
 	j.dA.ForBuckets(planned.Serial, nLight, func(q int) {
@@ -303,12 +302,37 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 // precomputed per-key offsets, so the fill parallelizes over keys without
 // affecting the row order. Plane-emitting calls also fill the aligned hash
 // chunk: every row of heavy key h shares the table's OrderHash[h], so no
-// record is ever re-hashed. lv is the planned level (heavy table alive).
+// record is ever re-hashed. The count kind crosses nothing: a heavy key
+// emits the product of its two side totals. lv is the planned level (heavy
+// table alive).
 func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, curA []R, curB []S) (*parallel.Buf[T], *parallel.Buf[uint64]) {
 	serial := lv.Serial
 	sc := j.dA.Scratch()
 	rt := j.dA.Runtime()
 	nH := aLog.nH
+	if j.kind == joinCount {
+		// A heavy key's row count is the product of its two side totals;
+		// keys missing from either side emit nothing.
+		totA, totB := aLog.totals(sc), bLog.totals(sc)
+		matched := 0
+		for h := 0; h < nH; h++ {
+			if totA.S[h] > 0 && totB.S[h] > 0 {
+				matched++
+			}
+		}
+		own := parallel.GetBuf[T](sc, matched)
+		kvs := any(own.S).([]collect.KV[K, int64]) // T is KV[K, int64] for this kind
+		o := 0
+		for h := 0; h < nH; h++ {
+			if totA.S[h] > 0 && totB.S[h] > 0 {
+				kvs[o] = collect.KV[K, int64]{Key: lv.HeavyKey(h), Value: int64(totA.S[h]) * int64(totB.S[h])}
+				o++
+			}
+		}
+		totB.Release()
+		totA.Release()
+		return own, nil
+	}
 	idxA, stA := aLog.resolve(rt, sc)
 	ia, sa := idxA.S, stA.S
 	offsBuf := parallel.GetBuf[int](sc, nH+1)
@@ -574,14 +598,14 @@ func (l *sideLog) release(sc *parallel.Scratch) {
 // plane-emitting call copies the cached hashes alongside — or computes them
 // here for a top-level unhashed side (still exactly once per record: these
 // records never met a classify sweep).
-func (j *joiner[R, S, K, T]) emitAll(curA []R, hA []uint64, hashedA bool) *node[T] {
+func (j *joiner[R, S, K, T]) emitAll(curA []R, hA []uint64, hashedA bool) *core.Node[T] {
 	sc := j.dA.Scratch()
 	own := parallel.GetBuf[T](sc, len(curA))
 	for i, r := range curA {
 		own.S[i] = j.fromA(r)
 	}
-	nd := newNode[T](sc)
-	nd.own = own
+	nd := core.NewNode[T](sc)
+	nd.Own = own
 	if j.emit {
 		hown := parallel.GetBuf[uint64](sc, len(curA))
 		if hashedA {
@@ -589,7 +613,7 @@ func (j *joiner[R, S, K, T]) emitAll(curA []R, hA []uint64, hashedA bool) *node[
 		} else {
 			j.dA.HashAll(curA, hown.S)
 		}
-		nd.hown = hown
+		nd.Hown = hown
 	}
 	return nd
 }
@@ -641,7 +665,7 @@ func (t *joinScratch) reset() {
 // base runs baseImpl under the stats plane's leaf accounting (both sides
 // of the pair count as leaf records; branch-on-nil when stats are
 // disabled).
-func (j *joiner[R, S, K, T]) base(curA []R, hA []uint64, curB []S, hB []uint64) *node[T] {
+func (j *joiner[R, S, K, T]) base(curA []R, hA []uint64, curB []S, hB []uint64) *core.Node[T] {
 	if !j.dA.StatsArmed() {
 		return j.baseImpl(curA, hA, curB, hB)
 	}
@@ -659,9 +683,23 @@ func (j *joiner[R, S, K, T]) base(curA []R, hA []uint64, curB []S, hB []uint64) 
 // large — the min-side cutoff fires long before the pair is cache-resident
 // — probing parallelizes over contiguous blocks, each emitting into its own
 // chunk, packed in block order.
-func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint64) *node[T] {
+func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint64) *core.Node[T] {
 	na, nb := len(curA), len(curB)
 	sc := j.dA.Scratch()
+	if j.kind == joinCount {
+		// The count leaf builds a per-key counter over the smaller side (a
+		// pure function of the two lengths) and probes serially: probing is
+		// a read-mostly counting sweep.
+		var own *parallel.Buf[collect.KV[K, int64]]
+		if na <= nb {
+			own = countBase(sc, curA, hA, curB, hB, j.keyA, j.keyB, j.eq)
+		} else {
+			own = countBase(sc, curB, hB, curA, hA, j.keyB, j.keyA, j.eq)
+		}
+		nd := core.NewNode[T](sc)
+		nd.Own = any(own).(*parallel.Buf[T]) // T is KV[K, int64]; own may be nil
+		return nd
+	}
 	// probeB: build on a, probe with b — rows come out in (b-probe,
 	// a-chain) order, a different but equally deterministic order, since
 	// the direction is a pure function of the two lengths.
@@ -674,7 +712,7 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 	} else {
 		scr = j.buildB(curB, hB)
 	}
-	var nd *node[T]
+	var nd *core.Node[T]
 	if nProbe <= core.SerialCutoff {
 		// The common leaf: one serial probe into one chunk, closure-free
 		// (a per-leaf closure would dominate steady-state allocations). The
@@ -691,9 +729,9 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 		} else {
 			j.probeWithA(scr, curA, hA, curB, 0, nProbe, own, hown)
 		}
-		nd = newNode[T](sc)
-		nd.own = own
-		nd.hown = hown
+		nd = core.NewNode[T](sc)
+		nd.Own = own
+		nd.Hown = hown
 	} else {
 		// A large probe side (the min-side cutoff fired): parallel blocks,
 		// each emitting into its own chunk child, packed in block order —
@@ -701,10 +739,8 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 		// scheduling-independent.
 		rt := j.dA.Runtime()
 		nBlocks := min(4*parallel.Workers(), (nProbe+core.SerialCutoff-1)/core.SerialCutoff)
-		nd = newNode[T](sc)
-		nd.kids = parallel.GetBuf[*node[T]](sc, nBlocks)
-		nd.kids.Zero()
-		kids := nd.kids.S
+		nd = core.NewNode[T](sc)
+		kids := nd.NewKids(sc, nBlocks)
 		rt.Blocks(nProbe, nBlocks, func(b, lo, hi int) {
 			own := parallel.GetBuf[T](sc, hi-lo)
 			var hown *parallel.Buf[uint64]
@@ -716,9 +752,9 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 			} else {
 				j.probeWithA(scr, curA, hA, curB, lo, hi, own, hown)
 			}
-			kid := newNode[T](sc)
-			kid.own = own
-			kid.hown = hown
+			kid := core.NewNode[T](sc)
+			kid.Own = own
+			kid.Hown = hown
 			kids[b] = kid
 		})
 	}

@@ -1,8 +1,8 @@
 // Package rel implements database-style bulk relational operators — stable
 // first-occurrence deduplication, hash-partitioned equi-joins (inner, semi,
-// anti), distinct counting and top-k by frequency — as terminal ops on the
-// semisort distribution driver (core.Driver), the way internal/collect
-// implements histogram and collect-reduce. These are the paper's headline
+// anti, and per-key join counts), distinct counting and top-k by frequency
+// — as terminal ops on the semisort distribution driver (core.Driver), the
+// way internal/collect implements histogram and collect-reduce. These are the paper's headline
 // applications of semisort (Section 2.1 motivates deduplication, group-by
 // joins and distinct counting): every level is planned and distributed by
 // exactly the machinery the sorter uses — the memoizing fused sampler, the
@@ -40,3 +40,11 @@
 // state is arena-pooled, so repeated calls allocate little beyond their
 // result slice in steady state.
 package rel
+
+// Slot indices for every table in this package fed by cached hashes come
+// from hashutil.Slot/SlotShift: the recursion consumes hash windows from
+// the LOW end as bucket ids (every record reaching one leaf shares them,
+// so h & (m-1) would collapse a leaf's keys onto a handful of linear
+// clusters), and identity-hashed integer keys carry no entropy in the raw
+// top bits — Fibonacci hashing diffuses whatever bits differ into the
+// slot window.

@@ -182,6 +182,35 @@ func checkJoin(t *testing.T, as, bs []rec) {
 		}
 	}
 
+	// JoinCount: one KV per key present on both sides, count_a * count_b.
+	ca, cb := make(map[uint64]int64), make(map[uint64]int64)
+	for _, a := range as {
+		ca[a.key]++
+	}
+	for _, b := range bs {
+		cb[b.key]++
+	}
+	wantCount := make(map[uint64]int64)
+	for k, n := range ca {
+		if cb[k] > 0 {
+			wantCount[k] = n * cb[k]
+		}
+	}
+	counts := JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg)
+	if len(counts) != len(wantCount) {
+		t.Fatalf("count: got %d keys, want %d", len(counts), len(wantCount))
+	}
+	seenKey := make(map[uint64]bool, len(counts))
+	for _, kv := range counts {
+		if seenKey[kv.Key] {
+			t.Fatalf("count: key %d emitted twice", kv.Key)
+		}
+		seenKey[kv.Key] = true
+		if kv.Value != wantCount[kv.Key] {
+			t.Fatalf("count: key %d got %d, want %d", kv.Key, kv.Value, wantCount[kv.Key])
+		}
+	}
+
 	inB := make(map[uint64]bool)
 	for _, b := range bs {
 		inB[b.key] = true
